@@ -9,7 +9,7 @@
 
 use crate::timing::CometTiming;
 use comet_units::{BitCount, ByteCount};
-use photonic::{CellModelMode, CellOpticalModel, LevelBudget, OpticalParams, WdmMdmLink};
+use photonic::{CellModelMode, CellOpticalModel, OpticalParams, WdmMdmLink};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -225,18 +225,6 @@ impl CometConfig {
             self.banks as usize,
             self.timing.modulation(),
         )
-    }
-
-    /// The idealized (full-scale) read-out level budget for this bit
-    /// density — the paper's Section III.C numbers.
-    pub fn level_budget(&self) -> LevelBudget {
-        LevelBudget::for_bits(self.bits_per_cell)
-    }
-
-    /// The read-out level budget over the configured cell model's *actual*
-    /// transmission range (paper constants or physics-derived).
-    pub fn cell_level_budget(&self) -> LevelBudget {
-        LevelBudget::for_cell(self.bits_per_cell, self.cell_optics().as_ref())
     }
 
     /// Validates dimensional and optical feasibility.

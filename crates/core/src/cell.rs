@@ -242,11 +242,6 @@ impl Subarray {
         }
     }
 
-    /// Number of injected stuck cells.
-    pub fn stuck_cells(&self) -> usize {
-        self.stuck.len()
-    }
-
     /// Re-pins every stuck cell after a write that may have overwritten
     /// its stored value.
     fn reassert_stuck(&mut self, start: usize, end: usize) {

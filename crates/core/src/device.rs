@@ -151,11 +151,6 @@ impl CometDevice {
         &self.config
     }
 
-    /// Overrides the per-access pulse energies.
-    pub fn set_pulse_energies(&mut self, energies: PulseEnergies) {
-        self.energies = energies;
-    }
-
     /// Physical row after subarray striping: consecutive controller rows
     /// rotate across `subarray_stripe` distant row blocks, so streaming
     /// writes spread their programming pulses over parallel subarrays.

@@ -88,14 +88,6 @@ impl ReadoutReliability {
             .fold(0.0, f64::max)
     }
 
-    /// The worst-row *bit* error rate: a level error corrupts up to `b`
-    /// bits, so BER ≤ level-error × b / b = level-error (adjacent-level
-    /// errors flip one bit under Gray coding; we report the conservative
-    /// non-Gray bound of the full level error).
-    pub fn worst_case_ber(&self) -> f64 {
-        self.worst_row_error()
-    }
-
     /// Mean per-read level error across the subarray rows.
     pub fn mean_row_error(&self) -> f64 {
         let n = self.config.subarray_rows;

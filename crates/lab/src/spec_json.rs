@@ -347,9 +347,14 @@ fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SpecError> {
 fn scheduler_from_json(j: &Json) -> Result<Scheduler, SpecError> {
     match str_field(j, "kind")?.as_str() {
         "fcfs" => Ok(Scheduler::Fcfs),
-        "frfcfs" => Ok(Scheduler::FrFcfs {
-            window: u64_field(j, "window")? as usize,
-        }),
+        // A zero window would leave every request unissuable (issue time
+        // +inf), which the engines reject by assertion.
+        "frfcfs" => match u64_field(j, "window")? {
+            0 => Err(schema("'window' must be at least 1")),
+            window => Ok(Scheduler::FrFcfs {
+                window: window as usize,
+            }),
+        },
         other => Err(schema(format!("unknown scheduler kind '{other}'"))),
     }
 }
@@ -621,6 +626,8 @@ mod tests {
             ("\"flip_fraction\": 0.05", "\"flip_fraction\": 0.0"),
             ("\"flip_fraction\": 0.05", "\"flip_fraction\": 1.5"),
             ("\"kind\": \"weights\"", "\"kind\": \"entropy9000\""),
+            // A zero FR-FCFS window never issues anything.
+            ("\"window\": 8", "\"window\": 0"),
         ] {
             let bad = text.replace(from, to);
             assert_ne!(bad, text, "substitution '{from}' must apply");

@@ -1,9 +1,12 @@
 //! The device timing/energy interface the controller drives.
 //!
 //! Every memory technology in the evaluation — 2D/3D DDR3/DDR4, EPCM-MM,
-//! COSMOS and COMET — implements [`MemoryDevice`]. The controller owns
-//! queueing, scheduling and bus contention; the device owns bank timing
-//! state (open rows, refresh, erase bookkeeping) and per-access energy.
+//! COSMOS and COMET — implements [`MemoryDevice`]. The [`Controller`]
+//! owns queueing, scheduling and bus contention; the device owns bank
+//! timing state (open rows, refresh, erase bookkeeping) and per-access
+//! energy.
+//!
+//! [`Controller`]: crate::Controller
 
 use crate::addr::DecodedAddress;
 use crate::data::LineData;
@@ -55,8 +58,9 @@ pub struct AccessTiming {
 /// A memory device model: timing state machine plus energy accounting.
 ///
 /// Implementations are stateful (`&mut self`) — they track open rows,
-/// refresh deadlines and erase state internally. `access` is always called
-/// with a monotonically non-decreasing `issue` time per bank.
+/// refresh deadlines and erase state internally. Both engines reach a
+/// device only through [`Controller`](crate::Controller), which calls
+/// `access_line` with a monotonically non-decreasing `issue` time per bank.
 ///
 /// The `Send` supertrait lets sharded runners (the `comet-lab` campaign
 /// subsystem) move boxed devices onto worker threads; device models are
@@ -71,6 +75,11 @@ pub trait MemoryDevice: Send {
     /// Earliest time the bank could accept an access issued at `at`
     /// (accounts for refresh windows and similar blackouts). The default
     /// is no additional constraint.
+    ///
+    /// The one caller is [`Controller::next_issue`](crate::Controller::next_issue),
+    /// which polls every entry of every scheduling window on every scan,
+    /// speculatively. `DramDevice` commits refresh catch-up here, so for
+    /// it polling is not free of side effects.
     fn bank_available(&mut self, _loc: &DecodedAddress, at: Time) -> Time {
         at
     }
@@ -79,7 +88,7 @@ pub trait MemoryDevice: Send {
     fn access(&mut self, loc: &DecodedAddress, op: MemOp, issue: Time) -> AccessTiming;
 
     /// [`MemoryDevice::access`] with the request's line payload attached.
-    /// The engines always call this entry point; the default discards the
+    /// The controller always calls this entry point; the default discards the
     /// payload and delegates, so content-oblivious devices are untouched.
     /// Content-aware devices (the EPCM data plane) override it to price
     /// writes per cell transition against a backing line store.
@@ -95,7 +104,8 @@ pub trait MemoryDevice: Send {
     }
 
     /// Whether an access to `loc` would hit an open row buffer — used by
-    /// FR-FCFS scheduling. Devices without row buffers return `false`.
+    /// the controller's FR-FCFS tie-break. Devices without row buffers
+    /// return `false`.
     fn row_hit(&self, _loc: &DecodedAddress) -> bool {
         false
     }

@@ -1,36 +1,16 @@
 //! The trace-replay simulation engine.
 //!
-//! Plays a request stream against a [`MemoryDevice`] through a memory
-//! controller with per-bank queues, FCFS or FR-FCFS scheduling, and
-//! per-channel data-bus contention — the same pipeline the paper's modified
+//! Plays a request stream against a [`MemoryDevice`] through the memory
+//! [`Controller`]: per-bank queues, FCFS or FR-FCFS scheduling and
+//! per-channel data-bus contention, the pipeline the paper's modified
 //! NVMain 2.0 provides. Produces [`SimStats`] (latency, bandwidth, EPB).
 
-use crate::addr::{AddressMap, Interleave};
+use crate::controller::{Controller, Scheduler};
 use crate::device::MemoryDevice;
 use crate::request::{CompletedRequest, MemRequest};
 use crate::stats::SimStats;
 use comet_units::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-/// Request scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Scheduler {
-    /// First-come first-served per bank.
-    Fcfs,
-    /// First-ready FCFS: row-buffer hits within a lookahead window bypass
-    /// older misses (the standard high-performance DRAM policy).
-    FrFcfs {
-        /// Lookahead window (queue entries examined).
-        window: usize,
-    },
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::FrFcfs { window: 8 }
-    }
-}
 
 /// How arrival timestamps are honoured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -100,110 +80,34 @@ pub fn run_simulation(
     requests: &[MemRequest],
     config: &SimConfig,
 ) -> SimStats {
-    let topo = device.topology();
-    let map = AddressMap::new(
-        topo.channels,
-        topo.banks,
-        topo.rows,
-        topo.columns,
-        topo.line_bytes,
-        // XOR-folded channel selection: strides that are multiples of the
-        // channel count still spread across channels, as real controllers
-        // arrange with permutation-based interleaving.
-        Interleave::RowBankColumnChannelXor,
-    )
-    .expect("device topology dimensions must be powers of two");
-
-    let nbanks = (topo.channels * topo.banks) as usize;
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); nbanks];
-    let decoded: Vec<_> = requests.iter().map(|r| map.decode(r.address)).collect();
-    let arrivals: Vec<Time> = requests
-        .iter()
-        .map(|r| match config.replay {
+    let mut ctrl = Controller::new(device, config.scheduler);
+    ctrl.enqueue_all(requests.iter().map(|r| {
+        let ready = match config.replay {
             ReplayMode::Paced => r.arrival,
             ReplayMode::Saturation => Time::ZERO,
-        })
-        .collect();
+        };
+        (r.address, ready, r)
+    }));
 
-    for (i, d) in decoded.iter().enumerate() {
-        queues[(d.channel * topo.banks + d.bank) as usize].push_back(i);
-    }
-
-    let mut bank_free = vec![Time::ZERO; nbanks];
-    let mut bus_free = vec![Time::ZERO; topo.channels as usize];
     let mut stats = SimStats::new(device.name(), config.workload.clone());
     let mut latencies: Vec<Time> = Vec::with_capacity(requests.len());
-    let mut remaining: usize = requests.len();
-
-    while remaining > 0 {
-        // Choose the bank that can issue earliest.
-        let mut best: Option<(Time, usize, usize)> = None; // (issue, bank, queue pos)
-        for (b, queue) in queues.iter().enumerate() {
-            if queue.is_empty() {
-                continue;
-            }
-            // Scheduling: pick position within the window.
-            let (pos, ready) = match config.scheduler {
-                Scheduler::Fcfs => {
-                    let idx = queue[0];
-                    let ready = bank_free[b].max(arrivals[idx]);
-                    (0, device.bank_available(&decoded[idx], ready))
-                }
-                Scheduler::FrFcfs { window } => {
-                    // First-ready: among the window, take the request that
-                    // can actually issue earliest (skips entries whose
-                    // subarray/row resource is still busy); row-buffer hits
-                    // win ties so open rows are drained first.
-                    let mut chosen = (0usize, Time::from_seconds(f64::INFINITY), false);
-                    for (p, &idx) in queue.iter().take(window).enumerate() {
-                        let base = bank_free[b].max(arrivals[idx]);
-                        let ready = device.bank_available(&decoded[idx], base);
-                        let hit = device.row_hit(&decoded[idx]);
-                        let better = ready < chosen.1 || (ready == chosen.1 && hit && !chosen.2);
-                        if better {
-                            chosen = (p, ready, hit);
-                        }
-                    }
-                    (chosen.0, chosen.1)
-                }
-            };
-            match best {
-                Some((t, _, _)) if ready >= t => {}
-                _ => best = Some((ready, b, pos)),
-            }
-        }
-
-        let (issue, bank, pos) = best.expect("remaining > 0 implies a nonempty queue");
-        let idx = queues[bank].remove(pos).expect("position was validated");
-        let req = &requests[idx];
-        let loc = &decoded[idx];
-
-        let timing = device.access_line(loc, req.op, issue, req.payload.as_ref());
-        let ch = loc.channel as usize;
-        let transfer_start = timing.data_ready_at.max(bus_free[ch]);
-        let transfer_end = transfer_start + timing.bus_occupancy;
-        bus_free[ch] = transfer_end;
-        // The device's bank_free_at is authoritative for bank occupancy
-        // (devices include transfer time where the array can't pipeline);
-        // extending it to transfer_end here would serialize access latency
-        // into occupancy and forbid command pipelining.
-        bank_free[bank] = timing.bank_free_at;
-
-        let finished = transfer_end + device.interface_delay();
-        let done = CompletedRequest {
+    let mut devices = [device];
+    while let Some(slot) = ctrl.next_issue(&mut devices) {
+        let done = ctrl.issue(slot, &mut devices, |r| (r.op, r.payload.as_ref()));
+        let completed = CompletedRequest {
             request: MemRequest {
-                arrival: arrivals[idx],
-                ..*req
+                arrival: done.entry.ready,
+                ..*done.entry.item
             },
-            issued: issue,
-            finished,
+            issued: done.at,
+            finished: done.finished,
         };
-        stats.record(&done);
-        latencies.push(done.latency());
-        stats.energy.access += timing.energy;
-        remaining -= 1;
+        stats.record(&completed);
+        latencies.push(completed.latency());
+        stats.energy.access += done.timing.energy;
     }
 
+    let [device] = devices;
     stats.energy.refresh = device.drain_accumulated_energy();
     stats.finalize_background(device.background_power());
     stats.finalize_percentiles(&mut latencies);

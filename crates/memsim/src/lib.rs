@@ -2,10 +2,11 @@
 //!
 //! The evaluation substrate of the COMET reproduction, standing in for the
 //! heavily modified NVMain 2.0 the paper uses (Section IV): requests flow
-//! from a trace (captured or synthetic) through a memory controller with
-//! per-bank queues and FCFS/FR-FCFS scheduling into a pluggable
+//! from a trace (captured or synthetic) through a memory [`Controller`]
+//! with per-bank queues and FCFS/FR-FCFS scheduling into a pluggable
 //! [`MemoryDevice`] timing/energy model, producing latency, bandwidth and
-//! energy-per-bit statistics.
+//! energy-per-bit statistics. The `comet-serve` event core drives the same
+//! controller.
 //!
 //! Provided device models:
 //! * [`DramDevice`] — 2D/3D DDR3/DDR4 with row buffers and refresh;
@@ -32,6 +33,7 @@
 #![warn(missing_debug_implementations)]
 
 mod addr;
+mod controller;
 mod data;
 mod device;
 mod dram;
@@ -43,10 +45,11 @@ mod synth;
 mod trace;
 
 pub use addr::{AddressMap, AddressMapError, DecodedAddress, Interleave};
+pub use controller::{Controller, IssueSlot, Issued, Pending, Scheduler};
 pub use data::{LineData, PricedWrite, WriteCost, WritePricer, MAX_LINE_BYTES};
 pub use device::{AccessTiming, DeviceFactory, FnFactory, MemoryDevice, Topology};
 pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings, RowPolicy};
-pub use engine::{run_simulation, ReplayMode, Scheduler, SimConfig};
+pub use engine::{run_simulation, ReplayMode, SimConfig};
 pub use pcm::{EpcmConfig, EpcmDevice};
 pub use request::{CompletedRequest, MemOp, MemRequest};
 pub use stats::{percentile_of_sorted, EnergyBreakdown, LatencyHistogram, SimStats};

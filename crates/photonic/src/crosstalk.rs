@@ -92,24 +92,6 @@ impl CrossbarCrosstalk {
         }
         (margin / per_write).ceil().max(1.0) as u32
     }
-
-    /// [`CrossbarCrosstalk::writes_to_corruption`] with the level count
-    /// and crystalline-fraction span taken from a cell model — so the
-    /// disturb analysis runs against the same level grid (paper or
-    /// physics-derived) as the read-out path.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= bits <= 6`.
-    pub fn writes_to_corruption_for_cell(
-        &self,
-        write_energy: Energy,
-        bits: u8,
-        cell: &dyn crate::CellOpticalModel,
-    ) -> u32 {
-        assert!((1..=6).contains(&bits), "bits must be in 1..=6");
-        self.writes_to_corruption(write_energy, 1 << bits, cell.fraction_span())
-    }
 }
 
 impl Default for CrossbarCrosstalk {

@@ -17,6 +17,7 @@
 
 use crate::core::Queued;
 use comet_units::Time;
+use memsim::Pending;
 use std::collections::HashMap;
 
 /// Write-batching knobs.
@@ -62,7 +63,7 @@ struct RowBatch {
     /// Creation order, the deterministic tie-break for equal deadlines.
     seq: u64,
     /// Held writes in admission order.
-    writes: Vec<Queued>,
+    writes: Vec<Pending<Queued>>,
 }
 
 /// The stateful batch stage the service core drives.
@@ -102,8 +103,8 @@ impl WriteBatcher {
 
     /// Admits a write at `now`. Returns a full batch released early, if
     /// admission filled one.
-    pub(crate) fn admit(&mut self, q: Queued, now: Time) -> Vec<Queued> {
-        debug_assert!(!q.op.is_read(), "the batcher only holds writes");
+    pub(crate) fn admit(&mut self, q: Pending<Queued>, now: Time) -> Vec<Pending<Queued>> {
+        debug_assert!(!q.item.op.is_read(), "the batcher only holds writes");
         let key = (q.loc.channel, q.loc.bank, q.loc.row);
         self.held += 1;
         match self.pending.get_mut(&key) {
@@ -113,9 +114,14 @@ impl WriteBatcher {
                 // store's bytes reach the array, the newcomer's payload
                 // replaces the host's (a payload-less newcomer makes the
                 // merged content unknown, deliberately).
-                if let Some(host) = batch.writes.iter_mut().find(|w| w.address == q.address) {
-                    host.absorbed.push((q.id, q.tenant, q.arrival));
-                    host.payload = q.payload;
+                let new = &q.item;
+                if let Some(host) = batch
+                    .writes
+                    .iter_mut()
+                    .find(|w| w.item.address == new.address)
+                {
+                    host.item.absorbed.push((new.id, new.tenant, new.arrival));
+                    host.item.payload = new.payload;
                     self.coalesced += 1;
                     return Vec::new();
                 }
@@ -146,7 +152,7 @@ impl WriteBatcher {
         batch
             .writes
             .iter()
-            .map(|w| 1 + w.absorbed.len())
+            .map(|w| 1 + w.item.absorbed.len())
             .sum::<usize>()
     }
 
@@ -166,7 +172,7 @@ impl WriteBatcher {
     /// Releases every batch whose deadline is at or before `now`, ordered
     /// by (deadline, creation order) — deterministic regardless of map
     /// iteration order.
-    pub(crate) fn release_due(&mut self, now: Time) -> Vec<Queued> {
+    pub(crate) fn release_due(&mut self, now: Time) -> Vec<Pending<Queued>> {
         let mut due: Vec<(u64, u64, u64)> = self
             .pending
             .iter()
@@ -188,7 +194,7 @@ impl WriteBatcher {
 
     /// Flushes the batch holding `(channel, bank, row)`, if any — called
     /// when a read to that row arrives, so it never overtakes a held store.
-    pub(crate) fn flush_row(&mut self, channel: u64, bank: u64, row: u64) -> Vec<Queued> {
+    pub(crate) fn flush_row(&mut self, channel: u64, bank: u64, row: u64) -> Vec<Pending<Queued>> {
         match self.pending.remove(&(channel, bank, row)) {
             Some(batch) => {
                 self.held -= Self::batch_len(&batch);

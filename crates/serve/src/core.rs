@@ -3,7 +3,8 @@
 //! Where `memsim::run_simulation` replays a pre-materialized trace,
 //! [`run_service`] runs a *service*: sources generate requests online
 //! (closed-loop ones react to completions), a write-coalescing batch stage
-//! sits in front of the per-bank command queues, and one logical device is
+//! sits in front of the per-bank command queues of the same
+//! [`memsim::Controller`] replay uses, and one logical device is
 //! partitioned across several backend instances by channel.
 //!
 //! # Event order and determinism
@@ -36,13 +37,13 @@ use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
 use crate::stats::{ChannelStats, DepthSeries, ServeReport, TailHistogram, TenantStats};
 use comet_units::{ByteCount, Energy, Time};
 use memsim::{
-    AddressMap, CompletedRequest, DecodedAddress, DeviceFactory, Interleave, LineData, MemOp,
-    MemRequest, MemoryDevice, Scheduler, SimStats, WorkloadProfile,
+    CompletedRequest, Controller, DeviceFactory, Issued, LineData, MemOp, MemRequest, MemoryDevice,
+    Pending, Scheduler, SimStats, WorkloadProfile,
 };
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 
-/// A queued (admitted but not yet issued) request.
+/// An admitted request, not yet completed. Its bank location and earliest
+/// issue time travel beside it in the controller's [`Pending`] entry.
 #[derive(Debug, Clone)]
 pub(crate) struct Queued {
     pub(crate) id: u64,
@@ -52,47 +53,11 @@ pub(crate) struct Queued {
     pub(crate) size: ByteCount,
     /// Original arrival (latency is measured from here).
     pub(crate) arrival: Time,
-    /// Earliest issue time (arrival, or the batch release for held writes).
-    pub(crate) ready: Time,
-    pub(crate) loc: DecodedAddress,
     /// The written line content (the *newest* store's data when same-line
     /// writes coalesce — only the last store's bytes reach the array).
     pub(crate) payload: Option<LineData>,
     /// Same-line writes coalesced into this one: `(id, tenant, arrival)`.
     pub(crate) absorbed: Vec<(u64, usize, Time)>,
-}
-
-/// A scheduled completion event.
-#[derive(Debug)]
-struct Completion {
-    finished: Time,
-    /// Monotone sequence number — the deterministic tie-break.
-    seq: u64,
-    issued: Time,
-    q: Queued,
-}
-
-impl PartialEq for Completion {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Completion {}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.finished
-            .as_seconds()
-            .total_cmp(&other.finished.as_seconds())
-            .then(self.seq.cmp(&other.seq))
-    }
 }
 
 /// A declarative service scenario: tenant mix, scheduling, sharding and
@@ -202,31 +167,15 @@ pub fn run_service_with_sources(
 ) -> ServeReport {
     let shard0 = factory.build();
     let topo = shard0.topology();
-    let interface_delay = shard0.interface_delay();
     let background = shard0.background_power();
     let device_name = shard0.name();
+    let mut ctrl = Controller::new(shard0.as_ref(), spec.scheduler);
 
     let shard_count = spec.shards.clamp(1, topo.channels as usize);
     let mut shards: Vec<Box<dyn MemoryDevice>> = vec![shard0];
     shards.extend((1..shard_count).map(|_| factory.build()));
-
-    let map = AddressMap::new(
-        topo.channels,
-        topo.banks,
-        topo.rows,
-        topo.columns,
-        topo.line_bytes,
-        // Same permutation interleaving run_simulation uses, so strided
-        // streams spread across channels.
-        Interleave::RowBankColumnChannelXor,
-    )
-    .expect("device topology dimensions must be powers of two");
-
-    let nbanks = (topo.channels * topo.banks) as usize;
-    let mut queues: Vec<VecDeque<Queued>> = Vec::new();
-    queues.resize_with(nbanks, VecDeque::new);
-    let mut bank_free = vec![Time::ZERO; nbanks];
-    let mut bus_free = vec![Time::ZERO; topo.channels as usize];
+    let mut devices: Vec<&mut dyn MemoryDevice> =
+        shards.iter_mut().map(|s| &mut **s as _).collect();
 
     let mut mux = TenantMux::new(sources);
     let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
@@ -235,7 +184,10 @@ pub fn run_service_with_sources(
     let mut tail = TailHistogram::new();
     let mut depth = DepthSeries::new(512);
     let mut latencies: Vec<Time> = Vec::new();
-    let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
+    // Issued requests keyed by (finished, issue sequence): the sequence
+    // number is the deterministic tie-break, and non-negative f64 bit
+    // patterns order like their values.
+    let mut completions: BTreeMap<(u64, u64), Issued<Queued>> = BTreeMap::new();
     let mut batcher = spec.batch.map(WriteBatcher::new);
 
     let mut next_id: u64 = 0;
@@ -243,29 +195,16 @@ pub fn run_service_with_sources(
     let mut in_system: u64 = 0;
     let mut batched_writes: u64 = 0;
 
-    // Enqueues a (possibly released) request at its bank queue.
-    let enqueue = |queues: &mut Vec<VecDeque<Queued>>, q: Queued| {
-        let bank = (q.loc.channel * topo.banks + q.loc.bank) as usize;
-        queues[bank].push_back(q);
-    };
-
     loop {
-        let t_complete = completions.peek().map(|Reverse(c)| c.finished);
+        let t_complete = completions.first_key_value().map(|(_, c)| c.finished);
         let t_release = batcher.as_ref().and_then(WriteBatcher::next_release);
         let poll = mux.poll();
         let t_arrival = match poll {
             MuxPoll::Ready { at, .. } => Some(at),
             _ => None,
         };
-        let issue = scan_issue(
-            &queues,
-            &mut shards,
-            shard_count,
-            topo.banks,
-            &bank_free,
-            spec.scheduler,
-        );
-        let t_issue = issue.map(|(t, _, _)| t);
+        let issue = ctrl.next_issue(&mut devices);
+        let t_issue = issue.map(|slot| slot.at);
 
         // Pick the earliest candidate; iteration order is the tie-break
         // priority (completion, release, arrival, issue).
@@ -286,20 +225,23 @@ pub fn run_service_with_sources(
                 match poll {
                     MuxPoll::Exhausted => break,
                     // Unreachable: Blocked implies an outstanding request,
-                    // whose completion event is in the heap.
+                    // whose completion event is pending.
                     other => unreachable!("service stalled with mux state {other:?}"),
                 }
             }
             Some((now, 0)) => {
                 // Completion.
-                let Reverse(Completion {
-                    finished,
-                    issued,
-                    q,
-                    ..
-                }) = completions.pop().expect("peeked");
+                let (
+                    _,
+                    Issued {
+                        entry,
+                        at: issued,
+                        finished,
+                        ..
+                    },
+                ) = completions.pop_first().expect("peeked");
                 debug_assert_eq!(finished, now);
-                let ch = q.loc.channel as usize;
+                let (ch, q) = (entry.loc.channel as usize, &entry.item);
                 let mut complete_one = |id: u64, tenant: usize, arrival: Time| {
                     let done = CompletedRequest {
                         request: MemRequest::new(id, arrival, q.op, q.address, q.size),
@@ -330,7 +272,7 @@ pub fn run_service_with_sources(
                     .release_due(now);
                 for mut w in released {
                     w.ready = now;
-                    enqueue(&mut queues, w);
+                    ctrl.enqueue(w);
                 }
             }
             Some((now, 2)) => {
@@ -341,18 +283,19 @@ pub fn run_service_with_sources(
                 };
                 let s = mux.take(tenant);
                 debug_assert_eq!(s.arrival, now);
-                let loc = map.decode(s.address);
-                let q = Queued {
-                    id: next_id,
-                    tenant,
-                    op: s.op,
-                    address: s.address,
-                    size: s.size,
-                    arrival: s.arrival,
+                let q = Pending {
+                    loc: ctrl.decode(s.address),
                     ready: s.arrival,
-                    loc,
-                    payload: s.payload,
-                    absorbed: Vec::new(),
+                    item: Queued {
+                        id: next_id,
+                        tenant,
+                        op: s.op,
+                        address: s.address,
+                        size: s.size,
+                        arrival: s.arrival,
+                        payload: s.payload,
+                        absorbed: Vec::new(),
+                    },
                 };
                 next_id += 1;
                 in_system += 1;
@@ -362,40 +305,28 @@ pub fn run_service_with_sources(
                         batched_writes += 1;
                         for mut w in b.admit(q, now) {
                             w.ready = now;
-                            enqueue(&mut queues, w);
+                            ctrl.enqueue(w);
                         }
                     }
                     (Some(b), MemOp::Read) => {
                         // Store→load ordering: held writes to this row go
                         // ahead of the read.
-                        for mut w in b.flush_row(loc.channel, loc.bank, loc.row) {
+                        for mut w in b.flush_row(q.loc.channel, q.loc.bank, q.loc.row) {
                             w.ready = now;
-                            enqueue(&mut queues, w);
+                            ctrl.enqueue(w);
                         }
-                        enqueue(&mut queues, q);
+                        ctrl.enqueue(q);
                     }
-                    (None, _) => enqueue(&mut queues, q),
+                    (None, _) => ctrl.enqueue(q),
                 }
             }
-            Some((now, _)) => {
+            Some(_) => {
                 // Issue.
-                let (_, bank, pos) = issue.expect("issue candidate present");
-                let q = queues[bank].remove(pos).expect("position was validated");
-                let shard = shards[(q.loc.channel as usize) % shard_count].as_mut();
-                let timing = shard.access_line(&q.loc, q.op, now, q.payload.as_ref());
-                let ch = q.loc.channel as usize;
-                let transfer_start = timing.data_ready_at.max(bus_free[ch]);
-                let transfer_end = transfer_start + timing.bus_occupancy;
-                bus_free[ch] = transfer_end;
-                bank_free[bank] = timing.bank_free_at;
-                stats.energy.access += timing.energy;
-                channels[ch].busy += timing.bus_occupancy;
-                completions.push(Reverse(Completion {
-                    finished: transfer_end + interface_delay,
-                    seq: comp_seq,
-                    issued: now,
-                    q,
-                }));
+                let slot = issue.expect("issue candidate present");
+                let done = ctrl.issue(slot, &mut devices, |q| (q.op, q.payload.as_ref()));
+                stats.energy.access += done.timing.energy;
+                channels[done.entry.loc.channel as usize].busy += done.timing.bus_occupancy;
+                completions.insert((done.finished.as_seconds().to_bits(), comp_seq), done);
                 comp_seq += 1;
             }
         }
@@ -432,52 +363,6 @@ pub fn run_service_with_sources(
         coalesced_writes: batcher.as_ref().map_or(0, WriteBatcher::coalesced),
         shards: shard_count,
     }
-}
-
-/// Finds the earliest-issuable queued request: `(issue time, bank index,
-/// queue position)`. Mirrors `run_simulation`'s scheduling (FCFS head, or
-/// FR-FCFS best-of-window with row hits winning ties).
-fn scan_issue(
-    queues: &[VecDeque<Queued>],
-    shards: &mut [Box<dyn MemoryDevice>],
-    shard_count: usize,
-    banks: u64,
-    bank_free: &[Time],
-    scheduler: Scheduler,
-) -> Option<(Time, usize, usize)> {
-    let mut best: Option<(Time, usize, usize)> = None;
-    for (b, queue) in queues.iter().enumerate() {
-        if queue.is_empty() {
-            continue;
-        }
-        let ch = b / banks as usize;
-        let dev = shards[ch % shard_count].as_mut();
-        let (pos, ready) = match scheduler {
-            Scheduler::Fcfs => {
-                let q = &queue[0];
-                let base = bank_free[b].max(q.ready);
-                (0, dev.bank_available(&q.loc, base))
-            }
-            Scheduler::FrFcfs { window } => {
-                let mut chosen = (0usize, Time::from_seconds(f64::INFINITY), false);
-                for (p, q) in queue.iter().take(window).enumerate() {
-                    let base = bank_free[b].max(q.ready);
-                    let ready = dev.bank_available(&q.loc, base);
-                    let hit = dev.row_hit(&q.loc);
-                    let better = ready < chosen.1 || (ready == chosen.1 && hit && !chosen.2);
-                    if better {
-                        chosen = (p, ready, hit);
-                    }
-                }
-                (chosen.0, chosen.1)
-            }
-        };
-        match best {
-            Some((t, _, _)) if ready >= t => {}
-            _ => best = Some((ready, b, pos)),
-        }
-    }
-    best
 }
 
 #[cfg(test)]

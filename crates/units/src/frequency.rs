@@ -57,11 +57,6 @@ impl Frequency {
         self.0
     }
 
-    /// Frequency in megahertz.
-    pub fn as_megahertz(self) -> f64 {
-        self.0 * 1e-6
-    }
-
     /// Frequency in gigahertz.
     pub fn as_gigahertz(self) -> f64 {
         self.0 * 1e-9

@@ -41,11 +41,6 @@ impl BitCount {
         ByteCount(self.0.div_ceil(8))
     }
 
-    /// Expresses the count in gigabits (10^9 bits).
-    pub fn as_gigabits(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Expresses the count in gibibits (2^30 bits).
     pub fn as_gibibits(self) -> f64 {
         self.0 as f64 / (1u64 << 30) as f64

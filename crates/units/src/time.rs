@@ -73,11 +73,6 @@ impl Time {
         self.0 * 1e9
     }
 
-    /// Duration in picoseconds.
-    pub fn as_picos(self) -> f64 {
-        self.0 * 1e12
-    }
-
     /// Returns the larger of two durations.
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
