@@ -81,6 +81,9 @@ pub struct Controller<T> {
     queues: Vec<VecDeque<Pending<T>>>,
     bank_free: Vec<Time>,
     bus_free: Vec<Time>,
+    /// Each bank's window pick `(issue time, queue position)`; `None`
+    /// until the next scan of that bank.
+    picks: Vec<Option<(Time, usize)>>,
 }
 
 impl<T> Controller<T> {
@@ -117,6 +120,7 @@ impl<T> Controller<T> {
             queues: (0..nbanks).map(|_| VecDeque::new()).collect(),
             bank_free: vec![Time::ZERO; nbanks],
             bus_free: vec![Time::ZERO; topo.channels as usize],
+            picks: vec![None; nbanks],
         }
     }
 
@@ -132,7 +136,12 @@ impl<T> Controller<T> {
     /// Appends a request to its bank's queue.
     pub fn enqueue(&mut self, entry: Pending<T>) {
         let bank = self.bank_of(&entry.loc);
-        self.queues[bank].push_back(entry);
+        let queue = &mut self.queues[bank];
+        queue.push_back(entry);
+        // Beyond the window the new entry cannot change the bank's pick.
+        if queue.len() <= self.window {
+            self.picks[bank] = None;
+        }
     }
 
     /// Enqueues `(address, ready, item)` requests in order. A counting pass
@@ -160,33 +169,49 @@ impl<T> Controller<T> {
     ///
     /// Each bank offers the entry of its scheduling window (the head under
     /// FCFS) that can issue earliest, row-buffer hits winning ties; the
-    /// earliest bank wins, the lower index on ties. Every entry of every
-    /// window is polled with `bank_available` in bank and queue order, with
-    /// no early exit, so the device sees the same call sequence on every
-    /// scan.
-    pub fn next_issue(&self, devices: &mut [&mut dyn MemoryDevice]) -> Option<IssueSlot> {
+    /// earliest bank wins, the lower index on ties.
+    ///
+    /// A bank's pick depends only on its window, its `bank_free` time and
+    /// the device's state for that bank, which only an access to the bank
+    /// changes (the [`MemoryDevice`] contract). So each pick is cached and
+    /// cleared only when [`issue`](Self::issue) takes from the bank or
+    /// [`enqueue`](Self::enqueue) lands inside its window; a call polls
+    /// the device for the cleared banks alone.
+    pub fn next_issue(&mut self, devices: &mut [&mut dyn MemoryDevice]) -> Option<IssueSlot> {
         let mut best: Option<IssueSlot> = None;
-        for (b, queue) in self.queues.iter().enumerate() {
-            if queue.is_empty() {
+        for b in 0..self.queues.len() {
+            if self.queues[b].is_empty() {
                 continue;
             }
-            let dev = &mut *devices[b / self.map.banks() as usize % devices.len()];
-            // (queue position, issue time, row hit) of the window's pick.
-            let mut chosen = (0, Time::from_seconds(f64::INFINITY), false);
-            for (pos, e) in queue.iter().take(self.window).enumerate() {
-                let at = dev.bank_available(&e.loc, self.bank_free[b].max(e.ready));
-                // A one-entry window has no ties to break.
-                let hit = self.window > 1 && dev.row_hit(&e.loc);
-                if at < chosen.1 || (at == chosen.1 && hit && !chosen.2) {
-                    chosen = (pos, at, hit);
+            let (at, pos) = match self.picks[b] {
+                Some(pick) => pick,
+                None => {
+                    let dev = &mut *devices[b / self.map.banks() as usize % devices.len()];
+                    let pick = self.scan_window(b, dev);
+                    self.picks[b] = Some(pick);
+                    pick
                 }
-            }
-            if best.map_or(true, |s| chosen.1 < s.at) {
-                let (pos, at, _) = chosen;
+            };
+            if best.map_or(true, |s| at < s.at) {
                 best = Some(IssueSlot { at, bank: b, pos });
             }
         }
         best
+    }
+
+    /// `(issue time, queue position)` of bank `b`'s window pick.
+    fn scan_window(&self, b: usize, dev: &mut dyn MemoryDevice) -> (Time, usize) {
+        // (issue time, queue position, row hit) of the best entry so far.
+        let mut chosen = (Time::from_seconds(f64::INFINITY), 0, false);
+        for (pos, e) in self.queues[b].iter().take(self.window).enumerate() {
+            let at = dev.bank_available(&e.loc, self.bank_free[b].max(e.ready));
+            // A one-entry window has no ties to break.
+            let hit = self.window > 1 && dev.row_hit(&e.loc);
+            if at < chosen.0 || (at == chosen.0 && hit && !chosen.2) {
+                chosen = (at, pos, hit);
+            }
+        }
+        (chosen.0, chosen.1)
     }
 
     /// Issues the command `slot` selected: the device access, then the
@@ -204,6 +229,7 @@ impl<T> Controller<T> {
         let entry = self.queues[slot.bank]
             .remove(slot.pos)
             .expect("slot comes from next_issue on unchanged queues");
+        self.picks[slot.bank] = None;
         let ch = entry.loc.channel as usize;
         let (op, data) = access(&entry.item);
         let timing = devices[ch % devices.len()].access_line(&entry.loc, op, slot.at, data);
@@ -227,6 +253,88 @@ impl<T> Controller<T> {
 mod tests {
     use super::*;
     use crate::dram::{DramConfig, DramDevice};
+    use crate::pcm::{EpcmConfig, EpcmDevice};
+    use proptest::prelude::*;
+
+    /// Runs `ops` against a controller over `dev`: kinds 0–1 enqueue, 2–3
+    /// issue the next command, 4 only asks for it. Enqueues move a clock
+    /// forward by up to ~1 µs and are ready up to 2 µs later, so a few
+    /// hundred ops span several DRAM refresh intervals. After every step
+    /// the warm cache must pick exactly what the same controller picks
+    /// with every bank's pick cleared.
+    fn cached_pick_is_cold_pick(
+        dev: &mut dyn MemoryDevice,
+        window: usize,
+        ops: &[(u8, u64)],
+    ) -> Result<(), TestCaseError> {
+        let mut ctrl = Controller::new(dev, Scheduler::FrFcfs { window });
+        let banks = dev.topology().banks.min(4);
+        let mut devices = [dev];
+        let mut now = Time::ZERO;
+        for &(kind, r) in ops {
+            match kind {
+                0 | 1 => {
+                    now += Time::from_nanos((r % 1024) as f64);
+                    let loc = DecodedAddress {
+                        channel: 0,
+                        bank: (r >> 10) % banks,
+                        row: (r >> 12) % 3,
+                        column: (r >> 14) % 4,
+                    };
+                    let ready = now + Time::from_nanos(((r >> 16) % 2000) as f64);
+                    let op = if r >> 32 & 1 == 0 {
+                        MemOp::Read
+                    } else {
+                        MemOp::Write
+                    };
+                    ctrl.enqueue(Pending {
+                        loc,
+                        ready,
+                        item: op,
+                    });
+                }
+                2 | 3 => {
+                    if let Some(slot) = ctrl.next_issue(&mut devices) {
+                        ctrl.issue(slot, &mut devices, |&op| (op, None));
+                    }
+                }
+                _ => {}
+            }
+            let warm = ctrl.next_issue(&mut devices);
+            let picks = ctrl.picks.clone();
+            ctrl.picks.fill(None);
+            prop_assert_eq!(warm, ctrl.next_issue(&mut devices));
+            // Carry on with the warm cache, not the one the cold scan
+            // refilled.
+            ctrl.picks = picks;
+        }
+        Ok(())
+    }
+
+    fn any_window() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(1usize), Just(2), Just(8)]
+    }
+
+    fn any_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
+        prop::collection::vec((0u8..5, any::<u64>()), 1..400)
+    }
+
+    proptest! {
+        #[test]
+        fn cached_picks_match_cold_scan_on_refreshing_dram(
+            window in any_window(),
+            ops in any_ops(),
+        ) {
+            let mut dev = DramDevice::new(DramConfig::ddr4_2400_2d());
+            cached_pick_is_cold_pick(&mut dev, window, &ops)?;
+        }
+
+        #[test]
+        fn cached_picks_match_cold_scan_on_epcm(window in any_window(), ops in any_ops()) {
+            let mut dev = EpcmDevice::new(EpcmConfig::epcm_mm());
+            cached_pick_is_cold_pick(&mut dev, window, &ops)?;
+        }
+    }
 
     #[test]
     #[should_panic(expected = "at least one request")]

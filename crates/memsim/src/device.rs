@@ -76,10 +76,16 @@ pub trait MemoryDevice: Send {
     /// (accounts for refresh windows and similar blackouts). The default
     /// is no additional constraint.
     ///
-    /// The one caller is [`Controller::next_issue`](crate::Controller::next_issue),
-    /// which polls every entry of every scheduling window on every scan,
-    /// speculatively. `DramDevice` commits refresh catch-up here, so for
-    /// it polling is not free of side effects.
+    /// The contract [`Controller::next_issue`](crate::Controller::next_issue)
+    /// relies on to cache each bank's pick:
+    /// * **No side effects.** Polling any number of times, at any times,
+    ///   changes no later answer, access result or drained energy. State
+    ///   such as refresh catch-up is committed by the `access` that
+    ///   follows, not here. (The receiver stays `&mut self` only so that
+    ///   wrappers can count calls.)
+    /// * **Bank-local.** The answer depends only on the state of `loc`'s
+    ///   own bank (channel × bank), which only an access to that bank
+    ///   changes.
     fn bank_available(&mut self, _loc: &DecodedAddress, at: Time) -> Time {
         at
     }
@@ -105,7 +111,9 @@ pub trait MemoryDevice: Send {
 
     /// Whether an access to `loc` would hit an open row buffer — used by
     /// the controller's FR-FCFS tie-break. Devices without row buffers
-    /// return `false`.
+    /// return `false`. Under the same contract as
+    /// [`bank_available`](Self::bank_available): no side effects, and the
+    /// answer depends only on `loc`'s own bank.
     fn row_hit(&self, _loc: &DecodedAddress) -> bool {
         false
     }

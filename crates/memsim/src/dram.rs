@@ -237,6 +237,11 @@ impl DramConfig {
 
 /// A stateful DRAM device (open rows + refresh bookkeeping).
 ///
+/// Refresh is per bank: a bank refreshes every tREFI and is blocked for
+/// tRFC. `bank_available` only reports that push-back; the next `access`
+/// to the bank commits the refreshes due by its issue time, charging
+/// their energy and closing the row.
+///
 /// # Examples
 ///
 /// ```
@@ -308,22 +313,27 @@ impl MemoryDevice for DramDevice {
     }
 
     fn bank_available(&mut self, loc: &DecodedAddress, at: Time) -> Time {
-        let idx = self.bank_index(loc);
+        // Push `at` past every refresh window that starts before it,
+        // without committing them: `access` does that.
+        let t = &self.config.timings;
+        let mut deadline = self.next_refresh[self.bank_index(loc)];
         let mut avail = at;
-        // Catch up on any refresh windows that started before `avail`.
-        while self.next_refresh[idx] <= avail {
-            let refresh_start = self.next_refresh[idx];
-            let refresh_end = refresh_start + self.config.timings.t_rfc;
-            self.refresh_energy += self.config.energy.refresh_op;
-            self.open_rows[idx] = None; // refresh closes the row
-            self.next_refresh[idx] = refresh_start + self.config.timings.t_refi;
-            avail = avail.max(refresh_end);
+        while deadline <= avail {
+            avail = avail.max(deadline + t.t_rfc);
+            deadline += t.t_refi;
         }
         avail
     }
 
     fn access(&mut self, loc: &DecodedAddress, op: MemOp, issue: Time) -> AccessTiming {
         let idx = self.bank_index(loc);
+        // Commit the refreshes due by `issue`: each costs energy and
+        // closes the row.
+        while self.next_refresh[idx] <= issue {
+            self.refresh_energy += self.config.energy.refresh_op;
+            self.open_rows[idx] = None;
+            self.next_refresh[idx] += self.config.timings.t_refi;
+        }
         let t = &self.config.timings;
         let e = &self.config.energy;
 
@@ -438,6 +448,9 @@ mod tests {
         // Just past the first refresh deadline: bank blocked until rfc done.
         let avail = dev.bank_available(&loc(0, 0), t_refi + Time::from_nanos(1.0));
         assert!(avail >= t_refi + t_rfc);
+        // The poll alone charges nothing; the access that follows it does.
+        assert_eq!(dev.drain_refresh_energy(), Energy::ZERO);
+        let _ = dev.access(&loc(0, 0), MemOp::Read, avail);
         assert!(dev.drain_refresh_energy() > Energy::ZERO);
         // Drained: second call returns zero.
         assert_eq!(dev.drain_refresh_energy(), Energy::ZERO);
@@ -447,11 +460,28 @@ mod tests {
     fn refresh_catches_up_over_long_gaps() {
         let mut dev = DramDevice::new(DramConfig::ddr3_1600_2d());
         let t_refi = dev.config().timings.t_refi;
-        // Jump 10 intervals ahead: all missed refreshes charged.
-        let _ = dev.bank_available(&loc(0, 0), t_refi * 10.5);
+        // Jump 10 intervals ahead: the access charges all missed refreshes.
+        let avail = dev.bank_available(&loc(0, 0), t_refi * 10.5);
+        assert_eq!(dev.drain_refresh_energy(), Energy::ZERO);
+        let _ = dev.access(&loc(0, 0), MemOp::Read, avail);
         let e = dev.drain_refresh_energy();
         let per_op = dev.config().energy.refresh_op;
         assert!((e.as_joules() / per_op.as_joules() - 10.0).abs() < 0.5);
+    }
+
+    #[test]
+    fn refresh_closes_the_open_row() {
+        let mut dev = DramDevice::new(DramConfig::ddr3_1600_2d());
+        let t_refi = dev.config().timings.t_refi;
+        let _ = dev.access(&loc(0, 5), MemOp::Read, Time::ZERO);
+        assert!(dev.row_hit(&loc(0, 5)));
+        let avail = dev.bank_available(&loc(0, 5), t_refi);
+        assert!(dev.row_hit(&loc(0, 5)), "polling leaves the row open");
+        let a = dev.access(&loc(0, 5), MemOp::Read, avail);
+        assert!(
+            a.energy >= dev.config().energy.activate,
+            "refresh closed it"
+        );
     }
 
     #[test]
