@@ -8,10 +8,14 @@
 //! system). Pass `--requests N` to change the trace length (default 6000),
 //! `--seed S` for a different trace instantiation and `--threads T` to
 //! control sharding (the results are identical for any thread count).
+//!
+//! The binary exits non-zero if any per-workload row prints a p50 above
+//! its p99 or a p99 above the row's max latency.
 
 use comet_bench::{header, ratio, Table};
 use comet_lab::{default_threads, fig9_device_axis, run_campaign, CampaignSpec, WorkloadSource};
 use memsim::spec_like_suite;
+use std::process::ExitCode;
 
 fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
     args.iter()
@@ -21,7 +25,7 @@ fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let requests = parse_flag(&args, "--requests", 6000) as usize;
     let seed = parse_flag(&args, "--seed", 42);
@@ -56,16 +60,28 @@ fn main() {
         "p99_latency_ns",
         "bw_per_epb",
     ]);
+    let mut disordered = 0;
     for cell in &report.cells {
         let stats = &cell.stats;
+        if stats.p50_latency > stats.p99_latency || stats.p99_latency > stats.max_latency {
+            eprintln!(
+                "fig9: tail out of order for {}/{}: p50 {:.1} ns, p99 {:.1} ns, max {:.1} ns",
+                stats.device,
+                stats.workload,
+                stats.p50_latency.as_nanos(),
+                stats.p99_latency.as_nanos(),
+                stats.max_latency.as_nanos()
+            );
+            disordered += 1;
+        }
         per_workload.row(vec![
             stats.device.clone(),
             stats.workload.clone(),
             format!("{:.3}", stats.bandwidth().as_gigabytes_per_second()),
             format!("{:.2}", stats.energy_per_bit().as_picojoules_per_bit()),
             format!("{:.1}", stats.avg_latency().as_nanos()),
-            format!("{:.0}", stats.histogram.percentile(50.0).as_nanos()),
-            format!("{:.0}", stats.histogram.percentile(99.0).as_nanos()),
+            format!("{:.0}", stats.p50_latency.as_nanos()),
+            format!("{:.0}", stats.p99_latency.as_nanos()),
             format!("{:.4}", stats.bandwidth_per_epb()),
         ]);
     }
@@ -111,5 +127,11 @@ fn main() {
             ratio(comet.bw_per_epb(), s.bw_per_epb()),
             ratio(s.avg_latency_ns, comet.avg_latency_ns),
         );
+    }
+
+    if disordered == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -11,13 +11,14 @@
 use crate::json::{Json, JsonError};
 use comet_serve::TenantStats;
 use comet_units::{ByteCount, Energy, Time};
-use memsim::{EnergyBreakdown, LatencyHistogram, SimStats};
+use memsim::{EnergyBreakdown, SimStats};
 use std::fmt;
 
 /// Per-tenant results of one serve cell, in tenant index order — the
 /// exportable subset of [`comet_serve::TenantStats`] (plain scalars; the
-/// tail percentiles are materialized from the streaming histogram at
-/// capture time so the JSON round trip stays exact).
+/// tail percentiles are read off the tenant's
+/// [`memsim::LatencyHistogram`] at capture time so the JSON round trip
+/// stays exact).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSummary {
     /// Tenant name.
@@ -34,11 +35,11 @@ pub struct TenantSummary {
     pub total_latency: Time,
     /// Maximum request latency.
     pub max_latency: Time,
-    /// Median latency (streaming-histogram resolution).
+    /// Median latency, within 2^-7 of the exact nearest-rank value.
     pub p50_latency: Time,
-    /// 95th-percentile latency (streaming-histogram resolution).
+    /// 95th-percentile latency, within 2^-7 of the exact nearest-rank value.
     pub p95_latency: Time,
-    /// 99th-percentile latency (streaming-histogram resolution).
+    /// 99th-percentile latency, within 2^-7 of the exact nearest-rank value.
     pub p99_latency: Time,
 }
 
@@ -241,16 +242,6 @@ impl CellReport {
                     ("p95_latency_s", Json::float(s.p95_latency.as_seconds())),
                     ("p99_latency_s", Json::float(s.p99_latency.as_seconds())),
                     (
-                        "histogram",
-                        Json::Array(
-                            s.histogram
-                                .counts()
-                                .iter()
-                                .map(|&c| Json::integer(c))
-                                .collect(),
-                        ),
-                    ),
-                    (
                         "energy_j",
                         Json::object([
                             ("access", Json::float(s.energy.access.as_joules())),
@@ -288,22 +279,10 @@ impl CellReport {
     }
 
     fn from_json(cell: &Json) -> Result<CellReport, ReportParseError> {
+        // Reports written before the one latency histogram also carry a
+        // 10-bucket "histogram" array under "stats"; like any unknown key,
+        // it is ignored.
         let stats = field(cell, "stats")?;
-        let hist = field(stats, "histogram")?
-            .as_array()
-            .ok_or_else(|| schema("'histogram' is not an array"))?;
-        if hist.len() != 10 {
-            return Err(schema(format!(
-                "histogram has {} buckets, want 10",
-                hist.len()
-            )));
-        }
-        let mut counts = [0u64; 10];
-        for (i, c) in hist.iter().enumerate() {
-            counts[i] = c
-                .as_u64()
-                .ok_or_else(|| schema("histogram bucket is not an integer"))?;
-        }
         let energy = field(stats, "energy_j")?;
         // Absent means a pre-tenant-export report: parse as no tenants.
         let tenants = match cell.get("tenants") {
@@ -336,7 +315,6 @@ impl CellReport {
                 p50_latency: Time::from_seconds(f64_field(stats, "p50_latency_s")?),
                 p95_latency: Time::from_seconds(f64_field(stats, "p95_latency_s")?),
                 p99_latency: Time::from_seconds(f64_field(stats, "p99_latency_s")?),
-                histogram: LatencyHistogram::from_counts(counts),
                 energy: EnergyBreakdown {
                     access: Energy::from_joules(f64_field(energy, "access")?),
                     background: Energy::from_joules(f64_field(energy, "background")?),
@@ -407,7 +385,7 @@ impl CampaignReport {
     }
 
     /// Serializes the per-cell summary metrics as CSV (header + one row
-    /// per cell; no histogram — use the JSON export for full fidelity).
+    /// per cell; use the JSON export for full fidelity).
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "index,device,workload,engine,replicate,seed,completed,reads,writes,bytes,\
@@ -550,7 +528,6 @@ mod tests {
         s.p50_latency = Time::from_nanos(120.5);
         s.p95_latency = Time::from_nanos(190.25);
         s.p99_latency = Time::from_nanos(200.125);
-        s.histogram = LatencyHistogram::from_counts([0, 1, 0, 2, 0, 0, 0, 0, 0, 0]);
         s.energy = EnergyBreakdown {
             access: Energy::from_picojoules(512.5),
             background: Energy::from_picojoules(17.0),
@@ -641,6 +618,125 @@ mod tests {
         assert_ne!(stripped, r.to_json(), "substitution applied");
         let back = CampaignReport::from_json(&stripped).expect("parses without tenants");
         assert_eq!(back, r);
+    }
+
+    /// A two-cell report (one serve cell with a tenant, one paced replay
+    /// cell) as exported before the one latency histogram: its stats carry
+    /// the 10-bucket `"histogram"` array.
+    const TEN_BUCKET_REPORT: &str = r#"{
+  "campaign": "v1-format",
+  "seed": 7,
+  "replicates": 1,
+  "normalize_lines": true,
+  "cells": [
+    {
+      "index": 0,
+      "device": "EPCM-MM",
+      "workload": "gcc-like",
+      "engine": "serve-closed8",
+      "replicate": 0,
+      "seed": 7,
+      "stats": {
+        "device": "EPCM-MM",
+        "workload": "gcc-like",
+        "completed": 40,
+        "reads": 32,
+        "writes": 8,
+        "bytes": 2560,
+        "makespan_s": 2.8899999999999986e-6,
+        "total_latency_s": 4.619999999999995e-6,
+        "max_latency_s": 2.5000000000000015e-7,
+        "p50_latency_s": 8.000000000000008e-8,
+        "p95_latency_s": 2.2499999999999912e-7,
+        "p99_latency_s": 2.5000000000000015e-7,
+        "histogram": [0, 0, 22, 18, 0, 0, 0, 0, 0, 0],
+        "energy_j": {
+          "access": 9.599999999999997e-8,
+          "background": 4.3349999999999975e-7,
+          "refresh": 0.0
+        }
+      },
+      "tenants": [
+        {
+          "name": "closed",
+          "completed": 40,
+          "reads": 32,
+          "writes": 8,
+          "bytes": 2560,
+          "total_latency_s": 4.619999999999995e-6,
+          "max_latency_s": 2.5000000000000015e-7,
+          "p50_latency_s": 9.761804008888054e-8,
+          "p95_latency_s": 2.3713737056616554e-7,
+          "p99_latency_s": 2.5000000000000015e-7
+        }
+      ],
+      "derived": {
+        "bandwidth_gbs": 0.8858131487889278,
+        "avg_latency_ns": 115.49999999999986,
+        "p50_latency_ns": 80.00000000000009,
+        "p95_latency_ns": 224.99999999999912,
+        "p99_latency_ns": 250.00000000000014,
+        "epb_pjb": 25.854492187499986,
+        "bw_per_epb": 0.03426147929593437
+      }
+    },
+    {
+      "index": 1,
+      "device": "EPCM-MM",
+      "workload": "gcc-like",
+      "engine": "frfcfs8-paced",
+      "replicate": 0,
+      "seed": 7,
+      "stats": {
+        "device": "EPCM-MM",
+        "workload": "gcc-like",
+        "completed": 40,
+        "reads": 30,
+        "writes": 10,
+        "bytes": 2560,
+        "makespan_s": 1.7951046314602971e-6,
+        "total_latency_s": 2.658980763300021e-5,
+        "max_latency_s": 1.7646274970232586e-6,
+        "p50_latency_s": 5.874771988413794e-7,
+        "p95_latency_s": 1.614823326327876e-6,
+        "p99_latency_s": 1.7646274970232586e-6,
+        "histogram": [0, 0, 4, 7, 21, 8, 0, 0, 0, 0],
+        "energy_j": {
+          "access": 1.0999999999999995e-7,
+          "background": 2.6926569471904455e-7,
+          "refresh": 0.0
+        }
+      },
+      "tenants": [],
+      "derived": {
+        "bandwidth_gbs": 1.4261007158771961,
+        "avg_latency_ns": 664.7451908250052,
+        "p50_latency_ns": 587.4771988413794,
+        "p95_latency_ns": 1614.823326327876,
+        "p99_latency_ns": 1764.6274970232587,
+        "epb_pjb": 18.518832749953347,
+        "bw_per_epb": 0.07700813194507568
+      }
+    }
+  ]
+}
+"#;
+
+    #[test]
+    fn ten_bucket_reports_still_parse() {
+        let old = CampaignReport::from_json(TEN_BUCKET_REPORT).expect("old format parses");
+        assert_eq!(old.cells.len(), 2);
+        assert_eq!(old.cells[0].tenants.len(), 1);
+        // The same values round-trip through the new format unchanged...
+        let text = old.to_json();
+        assert_eq!(CampaignReport::from_json(&text).expect("parses"), old);
+        // ...and the new export is the old file minus its histogram lines.
+        let stripped: String = TEN_BUCKET_REPORT
+            .split_inclusive('\n')
+            .filter(|line| !line.trim_start().starts_with("\"histogram\""))
+            .collect();
+        assert_ne!(stripped, TEN_BUCKET_REPORT);
+        assert_eq!(text, stripped);
     }
 
     #[test]

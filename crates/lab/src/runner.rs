@@ -317,7 +317,7 @@ mod tests {
         assert_eq!(serve_cells.len(), 4);
         for cell in serve_cells {
             // Serve cells complete the scenario budget, not the profile's
-            // request count, and carry exact tail percentiles.
+            // request count, and carry tail percentiles.
             assert_eq!(cell.stats.completed, 150, "{}", cell.device);
             assert!(cell.stats.p99_latency >= cell.stats.p50_latency);
             assert!(cell.stats.p50_latency > Time::ZERO);

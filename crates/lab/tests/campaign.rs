@@ -207,9 +207,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 ///
 /// The digest covers every byte of both `CampaignReport::to_json` exports,
 /// so any change to issue order, device calls, bus contention or stats
-/// moves it. No Poisson arrivals are involved, so `ln` is never called; the
-/// only libm calls on this path are the serve tail histogram's
-/// `log10`/`powf` bucket edges, which feed the per-tenant percentiles.
+/// moves it. No Poisson arrivals are involved, so `ln` is never called, and
+/// the latency histogram reads its buckets off f64 bit patterns, so the
+/// path makes no libm call at all.
 ///
 /// The pin covers the DRAM model as it is now: the scheduler's polls are
 /// free of side effects and each access commits its bank's refresh
@@ -274,6 +274,6 @@ fn both_engines_report_pinned_bytes() {
     let json = run_campaign(&profiled, 2).to_json() + &traced.to_json();
     assert_eq!(
         format!("{:016x}", fnv1a64(json.as_bytes())),
-        "adace127c86150a7"
+        "31413e510de2dc5b"
     );
 }

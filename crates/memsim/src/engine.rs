@@ -8,7 +8,7 @@
 use crate::controller::{Controller, Scheduler};
 use crate::device::MemoryDevice;
 use crate::request::{CompletedRequest, MemRequest};
-use crate::stats::SimStats;
+use crate::stats::{LatencyHistogram, SimStats};
 use comet_units::Time;
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +90,7 @@ pub fn run_simulation(
     }));
 
     let mut stats = SimStats::new(device.name(), config.workload.clone());
-    let mut latencies: Vec<Time> = Vec::with_capacity(requests.len());
+    let mut latencies = LatencyHistogram::new();
     let mut devices = [device];
     while let Some(slot) = ctrl.next_issue(&mut devices) {
         let done = ctrl.issue(slot, &mut devices, |r| (r.op, r.payload.as_ref()));
@@ -103,14 +103,14 @@ pub fn run_simulation(
             finished: done.finished,
         };
         stats.record(&completed);
-        latencies.push(completed.latency());
+        latencies.record(completed.latency());
         stats.energy.access += done.timing.energy;
     }
 
     let [device] = devices;
     stats.energy.refresh = device.drain_accumulated_energy();
     stats.finalize_background(device.background_power());
-    stats.finalize_percentiles(&mut latencies);
+    stats.finalize_percentiles(&latencies);
     stats
 }
 

@@ -52,6 +52,6 @@ pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings, RowPolicy};
 pub use engine::{run_simulation, ReplayMode, SimConfig};
 pub use pcm::{EpcmConfig, EpcmDevice};
 pub use request::{CompletedRequest, MemOp, MemRequest};
-pub use stats::{percentile_of_sorted, EnergyBreakdown, LatencyHistogram, SimStats};
+pub use stats::{EnergyBreakdown, LatencyHistogram, SimStats};
 pub use synth::{spec_like_suite, AccessPattern, WorkloadProfile};
 pub use trace::{read_trace, write_trace, ParseTraceError, TraceClock};

@@ -23,113 +23,130 @@ impl EnergyBreakdown {
     }
 }
 
-/// Latency histogram with fixed logarithmic buckets (ns scale).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    /// Bucket upper bounds in ns: `<10, <32, <100, <316, <1k, <3.16k, <10k,
-    /// <31.6k, <100k, >=100k`.
-    counts: [u64; 10],
-    total: u64,
+/// Sub-buckets per octave, as a power of two: 2^7 = 128.
+const SUB_BITS: u32 = 7;
+/// Octaves in the log-linear range [1 ns, 2^24 ns).
+const OCTAVES: u32 = 24;
+/// Right shift that keeps an f64's exponent and its top `SUB_BITS`
+/// mantissa bits.
+const SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - SUB_BITS;
+/// The shifted bit pattern of 1.0 (`0x3ff0…0`), the key of the first
+/// log-linear bucket, which opens at 1 ns.
+const ONE_NS_KEY: u64 = 0x3ff0_0000_0000_0000 >> SHIFT;
+/// Index of the overflow bucket (samples at or above 2^24 ns). Bucket 0
+/// holds sub-1 ns samples; buckets `1..OVERFLOW` are log-linear.
+const OVERFLOW: usize = ((OCTAVES as usize) << SUB_BITS) + 1;
+/// The top of the log-linear range, 2^24 ns (~16.8 ms).
+const TOP_NS: f64 = (1u64 << OCTAVES) as f64;
+
+/// Lower edge in ns of log-linear bucket `i` (`1..=OVERFLOW`; the edge of
+/// `OVERFLOW` is [`TOP_NS`]). Exact: it is an f64 whose low mantissa bits
+/// are zero.
+fn lower_edge_ns(i: usize) -> f64 {
+    f64::from_bits((i as u64 - 1 + ONE_NS_KEY) << SHIFT)
 }
 
-const BUCKET_BOUNDS_NS: [f64; 9] = [
-    10.0, 31.6, 100.0, 316.0, 1000.0, 3160.0, 10_000.0, 31_600.0, 100_000.0,
-];
+/// The streaming latency histogram both engines report tail latency
+/// through.
+///
+/// Buckets are log-linear in ns: 2^7 = 128 equal sub-buckets per octave
+/// over [1 ns, 2^24 ns ≈ 16.8 ms), plus one bucket below 1 ns and one
+/// overflow bucket. A sample's bucket is read straight off its f64 bit
+/// pattern (exponent and top seven mantissa bits), so recording needs no
+/// libm call and every bucket edge is exact. The histogram keeps the
+/// bucket counts, the sample count and the largest sample.
+///
+/// [`LatencyHistogram::percentile`] is nearest-rank with linear
+/// interpolation by rank inside the bucket that holds the ranked sample.
+/// **Bound:** when the exact nearest-rank sample lies in [1 ns, 2^24 ns),
+/// the result is within 2^-7 (< 0.79 %) of it, because the result stays
+/// inside that sample's bucket, whose width is at most 2^-7 of its lower
+/// edge. Below 1 ns the result stays in [0, 1 ns]; at or above 2^24 ns it
+/// stays between 2^24 ns and the recorded max.
+///
+/// # Examples
+///
+/// ```
+/// use comet_units::Time;
+/// use memsim::LatencyHistogram;
+///
+/// let mut h = LatencyHistogram::new();
+/// for n in 1..=1000 {
+///     h.record(Time::from_nanos(n as f64));
+/// }
+/// // The exact nearest-rank p99 is 990 ns.
+/// let p99 = h.percentile(99.0).as_nanos();
+/// assert!((p99 - 990.0).abs() <= 990.0 / 128.0);
+/// assert!(h.percentile(50.0) < h.percentile(99.0));
+/// assert_eq!(h.percentile(100.0), h.max());
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct LatencyHistogram {
+    counts: Vec<u64>,
+    total: u64,
+    max: Time,
+}
 
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: [0; 10],
+            counts: vec![0; OVERFLOW + 1],
             total: 0,
-        }
-    }
-
-    /// Reconstructs a histogram from its bucket counts (the inverse of
-    /// [`LatencyHistogram::counts`]; used by results import).
-    pub fn from_counts(counts: [u64; 10]) -> Self {
-        LatencyHistogram {
-            counts,
-            total: counts.iter().sum(),
+            max: Time::ZERO,
         }
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: Time) {
         let ns = latency.as_nanos();
-        let idx = BUCKET_BOUNDS_NS
-            .iter()
-            .position(|&b| ns < b)
-            .unwrap_or(BUCKET_BOUNDS_NS.len());
+        let idx = if ns >= TOP_NS {
+            OVERFLOW
+        } else if ns >= 1.0 {
+            ((ns.to_bits() >> SHIFT) - ONE_NS_KEY) as usize + 1
+        } else {
+            0
+        };
         self.counts[idx] += 1;
         self.total += 1;
+        self.max = self.max.max(latency);
     }
 
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64; 10] {
-        &self.counts
+    /// Largest sample recorded ([`Time::ZERO`] when empty).
+    pub fn max(&self) -> Time {
+        self.max
     }
 
-    /// Total samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Latency at percentile `p` (clamped to `[0, 100]`).
+    /// Latency at percentile `q` (clamped to `[0, 100]`).
     ///
-    /// Exact in rank: the nearest-rank sample (`ceil(p/100 · total)`, at
-    /// least 1) is located in its bucket, and the returned value is that
-    /// bucket's span linearly interpolated by the rank's position within
-    /// the bucket — so the result always brackets the true sample
-    /// percentile between the bucket's bounds, and feeding more samples of
-    /// a shifted distribution never moves it the wrong way. An empty
+    /// Finds the nearest-rank sample (rank `ceil(q/100 · total)`, at least
+    /// 1), then interpolates linearly by that rank's position among the
+    /// samples of its bucket; the overflow bucket interpolates toward the
+    /// recorded max, and every result is clamped to the max. Results are
+    /// monotone in `q`; see the type docs for the error bound. An empty
     /// histogram reports [`Time::ZERO`].
-    pub fn percentile(&self, p: f64) -> Time {
+    pub fn percentile(&self, q: f64) -> Time {
         if self.total == 0 {
             return Time::ZERO;
         }
-        let p = p.clamp(0.0, 100.0);
-        let target = ((self.total as f64 * p / 100.0).ceil()).max(1.0) as u64;
-        let mut seen = 0u64;
+        let q = q.clamp(0.0, 100.0);
+        let rank = ((self.total as f64 * q / 100.0).ceil() as u64).max(1);
+        let mut below = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            let before = seen;
-            seen += c;
-            if c > 0 && seen >= target {
-                let lower = if i == 0 { 0.0 } else { BUCKET_BOUNDS_NS[i - 1] };
-                let upper = BUCKET_BOUNDS_NS.get(i).copied().unwrap_or(316_000.0);
-                let frac = (target - before) as f64 / c as f64;
-                return Time::from_nanos(lower + (upper - lower) * frac);
+            if below + c >= rank {
+                let lower = if i == 0 { 0.0 } else { lower_edge_ns(i) };
+                let upper = if i == OVERFLOW {
+                    self.max.as_nanos()
+                } else {
+                    lower_edge_ns(i + 1)
+                };
+                let frac = (rank - below) as f64 / c as f64;
+                return Time::from_nanos(lower + (upper - lower) * frac).min(self.max);
             }
+            below += c;
         }
-        Time::from_nanos(316_000.0)
+        self.max
     }
-}
-
-/// Exact nearest-rank percentile of an ascending-sorted sample set.
-///
-/// `q` is clamped to `[0, 100]`; an empty set reports [`Time::ZERO`]. This
-/// is the common tail-latency definition engines use to fill the
-/// [`SimStats`] percentile fields: the sample at rank `ceil(q/100 · n)`
-/// (at least 1).
-///
-/// # Examples
-///
-/// ```
-/// use comet_units::Time;
-/// use memsim::percentile_of_sorted;
-///
-/// let samples: Vec<Time> = (1..=100).map(|n| Time::from_nanos(n as f64)).collect();
-/// assert_eq!(percentile_of_sorted(&samples, 50.0), Time::from_nanos(50.0));
-/// assert_eq!(percentile_of_sorted(&samples, 99.0), Time::from_nanos(99.0));
-/// assert_eq!(percentile_of_sorted(&samples, 100.0), Time::from_nanos(100.0));
-/// ```
-pub fn percentile_of_sorted(sorted: &[Time], q: f64) -> Time {
-    if sorted.is_empty() {
-        return Time::ZERO;
-    }
-    let q = q.clamp(0.0, 100.0);
-    let rank = ((sorted.len() as f64 * q / 100.0).ceil()).max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
 }
 
 impl Default for LatencyHistogram {
@@ -159,15 +176,14 @@ pub struct SimStats {
     pub total_latency: Time,
     /// Maximum request latency.
     pub max_latency: Time,
-    /// Exact median request latency (nearest-rank; filled by the engine's
-    /// [`SimStats::finalize_percentiles`], [`Time::ZERO`] until then).
+    /// Median request latency, within 2^-7 of the exact nearest-rank
+    /// value (filled by the engine's [`SimStats::finalize_percentiles`],
+    /// [`Time::ZERO`] until then).
     pub p50_latency: Time,
-    /// Exact 95th-percentile request latency (see [`SimStats::p50_latency`]).
+    /// 95th-percentile request latency (see [`SimStats::p50_latency`]).
     pub p95_latency: Time,
-    /// Exact 99th-percentile request latency (see [`SimStats::p50_latency`]).
+    /// 99th-percentile request latency (see [`SimStats::p50_latency`]).
     pub p99_latency: Time,
-    /// Latency distribution.
-    pub histogram: LatencyHistogram,
     /// Energy breakdown.
     pub energy: EnergyBreakdown,
 }
@@ -188,7 +204,6 @@ impl SimStats {
             p50_latency: Time::ZERO,
             p95_latency: Time::ZERO,
             p99_latency: Time::ZERO,
-            histogram: LatencyHistogram::new(),
             energy: EnergyBreakdown::default(),
         }
     }
@@ -205,7 +220,6 @@ impl SimStats {
         let lat = done.latency();
         self.total_latency += lat;
         self.max_latency = self.max_latency.max(lat);
-        self.histogram.record(lat);
         self.makespan = self.makespan.max(done.finished);
     }
 
@@ -215,15 +229,14 @@ impl SimStats {
         self.energy.background = background * self.makespan;
     }
 
-    /// Fills the exact p50/p95/p99 fields from the complete latency sample
-    /// set (sorted in place). Engines call this once, after all requests
-    /// are recorded, so trace replay and the `comet-serve` service core
-    /// report tail latency through the same fields.
-    pub fn finalize_percentiles(&mut self, samples: &mut [Time]) {
-        samples.sort_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()));
-        self.p50_latency = percentile_of_sorted(samples, 50.0);
-        self.p95_latency = percentile_of_sorted(samples, 95.0);
-        self.p99_latency = percentile_of_sorted(samples, 99.0);
+    /// Fills the p50/p95/p99 fields from the run's latency histogram.
+    /// Engines call this once, after all requests are recorded, so trace
+    /// replay and the `comet-serve` service core report tail latency
+    /// through the same fields.
+    pub fn finalize_percentiles(&mut self, latencies: &LatencyHistogram) {
+        self.p50_latency = latencies.percentile(50.0);
+        self.p95_latency = latencies.percentile(95.0);
+        self.p99_latency = latencies.percentile(99.0);
     }
 
     /// Average request latency.
@@ -285,6 +298,7 @@ impl fmt::Display for SimStats {
 mod tests {
     use super::*;
     use crate::request::{MemOp, MemRequest};
+    use proptest::prelude::*;
 
     fn done(id: u64, arrival_ns: f64, finish_ns: f64, op: MemOp) -> CompletedRequest {
         CompletedRequest {
@@ -336,22 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = LatencyHistogram::new();
-        for ns in [5.0, 20.0, 50.0, 200.0, 200.0, 5000.0] {
-            h.record(Time::from_nanos(ns));
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts()[0], 1); // <10
-        assert_eq!(h.counts()[1], 1); // <31.6
-        assert_eq!(h.counts()[2], 1); // <100
-        assert_eq!(h.counts()[3], 2); // <316
-        assert_eq!(h.counts()[6], 1); // <10k
-        assert!(h.percentile(50.0).as_nanos() <= 316.0);
-        assert!(h.percentile(99.0).as_nanos() >= 1000.0);
-    }
-
-    #[test]
     fn empty_stats_are_safe() {
         let s = SimStats::new("d", "w");
         assert_eq!(s.avg_latency(), Time::ZERO);
@@ -363,40 +361,169 @@ mod tests {
         assert_eq!(percentile_of_sorted(&[], 50.0), Time::ZERO);
     }
 
+    /// Exact nearest-rank percentile of an ascending-sorted sample set:
+    /// the sample at rank `ceil(q/100 · n)` (at least 1), [`Time::ZERO`]
+    /// when empty. The reference the histogram's bound is checked against.
+    fn percentile_of_sorted(sorted: &[Time], q: f64) -> Time {
+        if sorted.is_empty() {
+            return Time::ZERO;
+        }
+        let q = q.clamp(0.0, 100.0);
+        let rank = ((sorted.len() as f64 * q / 100.0).ceil()).max(1.0) as usize;
+        sorted[rank.min(sorted.len()) - 1]
+    }
+
+    fn histogram_of(samples: &[Time]) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for &t in samples {
+            h.record(t);
+        }
+        h
+    }
+
+    /// `|got - want| <= 2^-7 · want`, with slack for the ns/s round trip.
+    fn within_bound(got: Time, want: Time) -> bool {
+        let (got, want) = (got.as_nanos(), want.as_nanos());
+        (got - want).abs() <= want * 2f64.powi(-7) * (1.0 + 1e-9)
+    }
+
     #[test]
     fn exact_percentiles_use_nearest_rank() {
-        let mut samples: Vec<Time> = (1..=200).map(|n| Time::from_nanos(n as f64)).collect();
-        // Shuffle-ish order: finalize must sort.
-        samples.reverse();
+        let samples: Vec<Time> = (1..=200).map(|n| Time::from_nanos(n as f64)).collect();
+        assert_eq!(
+            percentile_of_sorted(&samples, 50.0),
+            Time::from_nanos(100.0)
+        );
+        assert_eq!(
+            percentile_of_sorted(&samples, 95.0),
+            Time::from_nanos(190.0)
+        );
+        assert_eq!(
+            percentile_of_sorted(&samples, 99.0),
+            Time::from_nanos(198.0)
+        );
+        assert_eq!(
+            percentile_of_sorted(&samples, 100.0),
+            Time::from_nanos(200.0)
+        );
+        // The stats fields come from the histogram, within the bound of
+        // the exact values, whatever order the samples arrived in.
         let mut s = SimStats::new("d", "w");
-        s.finalize_percentiles(&mut samples);
-        assert_eq!(s.p50_latency, Time::from_nanos(100.0));
-        assert_eq!(s.p95_latency, Time::from_nanos(190.0));
-        assert_eq!(s.p99_latency, Time::from_nanos(198.0));
+        s.finalize_percentiles(&histogram_of(
+            &samples.iter().rev().copied().collect::<Vec<_>>(),
+        ));
+        assert!(within_bound(s.p50_latency, Time::from_nanos(100.0)));
+        assert!(within_bound(s.p95_latency, Time::from_nanos(190.0)));
+        assert!(within_bound(s.p99_latency, Time::from_nanos(198.0)));
         // Single sample: every percentile is that sample.
-        let mut one = vec![Time::from_nanos(7.0)];
-        s.finalize_percentiles(&mut one);
+        s.finalize_percentiles(&histogram_of(&[Time::from_nanos(7.0)]));
         assert_eq!(s.p50_latency, Time::from_nanos(7.0));
         assert_eq!(s.p99_latency, Time::from_nanos(7.0));
     }
 
     #[test]
-    fn histogram_percentile_interpolates_within_bucket() {
-        // 100 samples all in the <100 ns bucket (bounds 31.6..100).
+    fn bucket_bounds_are_increasing_and_cover_the_range() {
+        assert_eq!(lower_edge_ns(1), 1.0);
+        assert_eq!(lower_edge_ns(OVERFLOW), TOP_NS);
+        for i in 2..=OVERFLOW {
+            let (lo, hi) = (lower_edge_ns(i - 1), lower_edge_ns(i));
+            assert!(hi > lo);
+            // Each bucket spans at most 2^-7 of its lower edge.
+            assert!(hi - lo <= lo / 128.0, "bucket {i}: {lo}..{hi}");
+        }
+        // Octave starts are powers of two, split into 128 equal parts.
+        assert_eq!(lower_edge_ns(1 + 128), 2.0);
+        assert_eq!(lower_edge_ns(1 + 10 * 128 + 64), 1536.0);
+    }
+
+    #[test]
+    fn records_land_in_the_right_bucket() {
         let mut h = LatencyHistogram::new();
-        for _ in 0..100 {
-            h.record(Time::from_nanos(50.0));
+        for ns in [0.5, 1.0, 1.0 + 1.0 / 128.0, 1536.0, 1.0e5, 2.0e7] {
+            h.record(Time::from_nanos(ns));
+        }
+        assert_eq!(h.total, 6);
+        assert_eq!(h.counts[0], 1, "sub-ns sample in the first bucket");
+        assert_eq!(h.counts[1], 1, "1 ns opens the first log-linear bucket");
+        assert_eq!(h.counts[2], 1, "the next edge is exact");
+        assert_eq!(h.counts[1 + 10 * 128 + 64], 1, "1536 ns = 2^10 · 1.5");
+        assert_eq!(h.counts[OVERFLOW], 1, "20 ms sample overflows");
+        assert_eq!(h.max(), Time::from_nanos(2.0e7));
+    }
+
+    #[test]
+    fn percentiles_bracket_samples_tightly() {
+        // 100 samples near each end of the [200, 201) ns bucket: every
+        // percentile stays inside the bucket and is monotone in q.
+        let mut h = LatencyHistogram::new();
+        for ns in [200.25, 200.75] {
+            for _ in 0..100 {
+                h.record(Time::from_nanos(ns));
+            }
+        }
+        let mut last = Time::ZERO;
+        for q in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
+            let p = h.percentile(q);
+            assert!((200.0..=201.0).contains(&p.as_nanos()), "q={q}: {p:?}");
+            assert!(p >= last);
+            last = p;
+        }
+        assert_eq!(h.percentile(100.0), h.max());
+    }
+
+    #[test]
+    fn overflow_percentile_interpolates_to_max() {
+        let mut h = LatencyHistogram::new();
+        for ms in [20.0, 30.0] {
+            for _ in 0..10 {
+                h.record(Time::from_millis(ms));
+            }
         }
         let p50 = h.percentile(50.0).as_nanos();
-        let p99 = h.percentile(99.0).as_nanos();
-        assert!(p50 > 31.6 && p50 < 100.0, "p50 {p50}");
-        assert!(p99 > p50 && p99 <= 100.0, "p99 {p99}");
-        // Percentiles are monotone in q.
-        let mut last = 0.0;
-        for q in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
-            let v = h.percentile(q).as_nanos();
-            assert!(v >= last, "q={q}: {v} < {last}");
-            last = v;
+        assert!((TOP_NS..3.0e7).contains(&p50), "p50 {p50}");
+        assert_eq!(h.percentile(100.0), h.max());
+    }
+
+    /// Heavy-tailed, all-equal, single-sample, sub-1 ns and above-2^24 ns
+    /// sample sets, in ns.
+    fn sample_sets() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            // Pareto(α = 1.1) from 20 ns: tails reach past 2^24 ns.
+            prop::collection::vec(
+                (1e-9f64..1.0).prop_map(|u| 20.0 * u.powf(-1.0 / 1.1)),
+                1..600
+            ),
+            (-2.0f64..28.0, 1usize..300).prop_map(|(e, n)| vec![e.exp2(); n]),
+            (-4.0f64..30.0).prop_map(|e| vec![e.exp2()]),
+            prop::collection::vec(0.0f64..1.0, 1..200),
+            prop::collection::vec((24.0f64..30.0).prop_map(f64::exp2), 1..200),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn percentiles_stay_within_bound_of_nearest_rank(ns in sample_sets()) {
+            let mut sorted: Vec<Time> = ns.iter().map(|&n| Time::from_nanos(n)).collect();
+            let h = histogram_of(&sorted);
+            sorted.sort_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()));
+            let mut last = Time::ZERO;
+            for i in 0..=400 {
+                let q = i as f64 / 4.0;
+                let (got, want) = (h.percentile(q), percentile_of_sorted(&sorted, q));
+                let w = want.as_nanos();
+                if w < 1.0 {
+                    prop_assert!(got.as_nanos() <= 1.0, "q={}: {:?} for sub-ns {:?}", q, got, want);
+                } else if w < TOP_NS {
+                    prop_assert!(within_bound(got, want), "q={}: {:?} vs exact {:?}", q, got, want);
+                } else {
+                    prop_assert!(got.as_nanos() >= TOP_NS, "q={}: {:?} for overflow {:?}", q, got, want);
+                }
+                prop_assert!(got >= last, "q={}: {:?} < {:?}", q, got, last);
+                prop_assert!(got <= h.max());
+                last = got;
+            }
+            prop_assert_eq!(h.max(), *sorted.last().unwrap());
+            prop_assert_eq!(LatencyHistogram::new().percentile(ns[0]), Time::ZERO);
         }
     }
 }

@@ -34,11 +34,11 @@
 
 use crate::batch::{BatchConfig, WriteBatcher};
 use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
-use crate::stats::{ChannelStats, DepthSeries, ServeReport, TailHistogram, TenantStats};
+use crate::stats::{ChannelStats, DepthSeries, ServeReport, TenantStats};
 use comet_units::{ByteCount, Energy, Time};
 use memsim::{
-    CompletedRequest, Controller, DeviceFactory, Issued, LineData, MemOp, MemRequest, MemoryDevice,
-    Pending, Scheduler, SimStats, WorkloadProfile,
+    CompletedRequest, Controller, DeviceFactory, Issued, LatencyHistogram, LineData, MemOp,
+    MemRequest, MemoryDevice, Pending, Scheduler, SimStats, WorkloadProfile,
 };
 use std::collections::BTreeMap;
 
@@ -181,9 +181,8 @@ pub fn run_service_with_sources(
     let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
     let mut channels: Vec<ChannelStats> = (0..topo.channels).map(ChannelStats::new).collect();
     let mut stats = SimStats::new(device_name, workload_label);
-    let mut tail = TailHistogram::new();
+    let mut latencies = LatencyHistogram::new();
     let mut depth = DepthSeries::new(512);
-    let mut latencies: Vec<Time> = Vec::new();
     // Issued requests keyed by (finished, issue sequence): the sequence
     // number is the deterministic tie-break, and non-negative f64 bit
     // patterns order like their values.
@@ -250,8 +249,7 @@ pub fn run_service_with_sources(
                     };
                     stats.record(&done);
                     let lat = done.latency();
-                    latencies.push(lat);
-                    tail.record(lat);
+                    latencies.record(lat);
                     tenants[tenant].record(q.op, q.size, lat);
                     channels[ch].completed += 1;
                     channels[ch].bytes += q.size;
@@ -351,14 +349,13 @@ pub fn run_service_with_sources(
     // The shard instances partition one device, so its background power
     // burns once, not per shard.
     stats.finalize_background(background);
-    stats.finalize_percentiles(&mut latencies);
+    stats.finalize_percentiles(&latencies);
 
     ServeReport {
         stats,
         tenants,
         channels,
         depth,
-        tail,
         batched_writes,
         coalesced_writes: batcher.as_ref().map_or(0, WriteBatcher::coalesced),
         shards: shard_count,

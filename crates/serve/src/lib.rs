@@ -20,8 +20,10 @@
 //!   [`memsim::Scheduler`], and a write-coalescing batch stage
 //!   ([`BatchConfig`]) that merges same-row/same-line writes within a
 //!   window — exploiting PCM's read/write asymmetry;
-//! * **Online tail accounting** — streaming p50/p95/p99/max through a
-//!   fixed-bucket [`TailHistogram`], per-tenant throughput, and a
+//! * **Online tail accounting** — streaming p50/p95/p99/max through
+//!   `memsim`'s one [`memsim::LatencyHistogram`] (log-linear, 128 buckets
+//!   per octave, percentiles within 2^-7 of the exact nearest-rank value),
+//!   for the aggregate and per tenant, plus per-tenant throughput and a
 //!   self-decimating queue-depth [`DepthSeries`], all landing in the same
 //!   [`memsim::SimStats`] shape trace replay reports, so `comet-lab`
 //!   campaigns export serve cells and replay cells uniformly.
@@ -63,4 +65,4 @@ pub use source::{
     ClosedLoopSource, MuxPoll, OpenLoopSource, RequestSource, SourcePoll, Sourced, TenantLoad,
     TenantMux, TenantSpec,
 };
-pub use stats::{ChannelStats, DepthSeries, ServeReport, TailHistogram, TenantStats};
+pub use stats::{ChannelStats, DepthSeries, ServeReport, TenantStats};

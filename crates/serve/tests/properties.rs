@@ -4,7 +4,8 @@
 //! in time; the multi-tenant mux preserves per-tenant ordering; one
 //! simulation partitioned across channel shards produces the identical
 //! report for any shard count, and per-channel stats decompose the
-//! aggregate exactly; closed loops bound in-flight depth by their client
+//! aggregate exactly; every reported tail is ordered and capped by its
+//! max latency; closed loops bound in-flight depth by their client
 //! count; the batch stage never loses requests.
 
 use comet_data::{DataPolicy, DataWriteModel, PayloadSpec};
@@ -28,6 +29,12 @@ fn any_process() -> impl Strategy<Value = ArrivalProcess> {
             ArrivalProcess::bursty(rate, Time::from_seconds(gaps / rate), Time::from_nanos(off))
         }),
     ]
+}
+
+/// `0 < p50 <= p95 <= p99 <= max`: a reported tail is ordered and never
+/// above the largest latency the run saw.
+fn tail_is_ordered(p50: Time, p95: Time, p99: Time, max: Time) -> bool {
+    Time::ZERO < p50 && p50 <= p95 && p95 <= p99 && p99 <= max
 }
 
 fn any_pattern() -> impl Strategy<Value = AccessPattern> {
@@ -180,6 +187,24 @@ proptest! {
         prop_assert_eq!(bytes, sharded.stats.bytes.value());
         let tenant_total: u64 = sharded.tenants.iter().map(|t| t.completed).sum();
         prop_assert_eq!(tenant_total, sharded.stats.completed);
+        let s = &sharded.stats;
+        prop_assert!(
+            tail_is_ordered(s.p50_latency, s.p95_latency, s.p99_latency, s.max_latency),
+            "aggregate tail {:?}",
+            s
+        );
+        for t in &sharded.tenants {
+            let [p50, p95, p99] = [50.0, 95.0, 99.0].map(|q| t.percentile(q));
+            prop_assert!(
+                tail_is_ordered(p50, p95, p99, t.max_latency),
+                "tenant {} tail {:?} {:?} {:?} max {:?}",
+                t.name,
+                p50,
+                p95,
+                p99,
+                t.max_latency
+            );
+        }
     }
 
     // --- payload-carrying traffic --------------------------------------------

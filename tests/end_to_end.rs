@@ -136,8 +136,8 @@ fn unloaded_read_latency_observed_in_simulation() {
         ),
     ];
     let stats = run_simulation(&mut device, &trace, &SimConfig::paced("lat"));
-    // Max latency belongs to the first (cold switch) access; the histogram
-    // has both under 350 ns.
+    // Max latency belongs to the first (cold switch) access; both
+    // latencies stay under 350 ns.
     assert!(stats.max_latency.as_nanos() <= 350.0);
     assert!(stats.avg_latency().as_nanos() >= 121.0);
 }
