@@ -309,9 +309,15 @@ fn pattern_from_json(j: &Json) -> Result<AccessPattern, SpecError> {
             stride: u64_field(j, "stride")?,
         }),
         "random" => Ok(AccessPattern::Random),
-        "clustered" => Ok(AccessPattern::Clustered {
-            locality: f64_field(j, "locality")?,
-        }),
+        "clustered" => {
+            let locality = f64_field(j, "locality")?;
+            if !(0.0..=1.0).contains(&locality) {
+                return Err(schema(format!(
+                    "'locality' must be in [0, 1], got {locality}"
+                )));
+            }
+            Ok(AccessPattern::Clustered { locality })
+        }
         other => Err(schema(format!("unknown pattern kind '{other}'"))),
     }
 }
@@ -622,6 +628,15 @@ mod tests {
             // Out-of-range profile knobs trip generation asserts.
             ("\"read_fraction\": 0.85", "\"read_fraction\": 1.5"),
             ("\"line_bytes\": 64", "\"line_bytes\": 0"),
+            // A locality outside [0, 1] is not a probability.
+            (
+                "\"kind\": \"random\"",
+                "\"kind\": \"clustered\", \"locality\": 1.5",
+            ),
+            (
+                "\"kind\": \"random\"",
+                "\"kind\": \"clustered\", \"locality\": -0.1",
+            ),
             // Payload knobs: a zero or >1 flip fraction is meaningless.
             ("\"flip_fraction\": 0.05", "\"flip_fraction\": 0.0"),
             ("\"flip_fraction\": 0.05", "\"flip_fraction\": 1.5"),

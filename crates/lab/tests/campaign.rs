@@ -3,11 +3,12 @@
 //! thread count, round-trip through JSON exactly, and agree with the
 //! sequential engine it wraps.
 
+use comet_data::PayloadSpec;
 use comet_lab::{
     device_by_name, run_campaign, workloads_by_name, CampaignReport, CampaignSpec, EnginePoint,
     WorkloadSource,
 };
-use comet_serve::{ArrivalProcess, BatchConfig, ServeSpec};
+use comet_serve::{ArrivalProcess, BatchConfig, ServeSpec, TenantSpec};
 use comet_units::{ByteCount, Time};
 use memsim::{DeviceFactory, MemOp, MemRequest, ReplayMode, Scheduler};
 
@@ -275,5 +276,48 @@ fn both_engines_report_pinned_bytes() {
     assert_eq!(
         format!("{:016x}", fnv1a64(json.as_bytes())),
         "31413e510de2dc5b"
+    );
+}
+
+/// Pins the exact output of every demand path: all eight SPEC-like profiles
+/// (Stream, Strided, Random and Clustered patterns) under paced replay,
+/// plus one serve point mixing a Poisson open-loop tenant whose stores carry
+/// sparse-update payloads with a closed-loop tenant that thinks between
+/// requests, write batching on. Two devices: 2D_DDR4, and EPCM-DCW-FNW so
+/// the payloads are priced by content.
+///
+/// Any change to how a profile turns into (op, address) pairs, arrival
+/// times or payload bytes, or to how tenants interleave, moves the digest.
+#[test]
+fn demand_paths_report_pinned_bytes() {
+    let devices: Vec<Box<dyn DeviceFactory>> = ["2D_DDR4", "EPCM-DCW-FNW"]
+        .iter()
+        .map(|n| device_by_name(n).expect("registered"))
+        .collect();
+    let workloads = memsim::spec_like_suite(1000)
+        .into_iter()
+        .map(WorkloadSource::Profile)
+        .collect();
+    let mut spec = CampaignSpec::new("demand-pin", 11, devices, workloads);
+    let serve = ServeSpec {
+        tenants: vec![
+            TenantSpec::open("poisson-sparse", ArrivalProcess::poisson(4.0e6), 600)
+                .with_payload(PayloadSpec::SparseUpdate { flip_fraction: 0.1 }),
+            TenantSpec::closed("closed-think", 3, Time::from_nanos(40.0), 400),
+        ],
+        scheduler: Scheduler::default(),
+        shards: 1,
+        batch: Some(BatchConfig::default()),
+    };
+    spec.engines = vec![
+        EnginePoint::paced(),
+        EnginePoint::serve("serve-mixed", serve),
+    ];
+    let report = run_campaign(&spec, 2);
+    assert_eq!(report.cells.len(), 32);
+    let json = report.to_json();
+    assert_eq!(
+        format!("{:016x}", fnv1a64(json.as_bytes())),
+        "9359f9e351fd8f5e"
     );
 }

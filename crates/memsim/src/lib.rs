@@ -53,5 +53,5 @@ pub use engine::{run_simulation, ReplayMode, SimConfig};
 pub use pcm::{EpcmConfig, EpcmDevice};
 pub use request::{CompletedRequest, MemOp, MemRequest};
 pub use stats::{EnergyBreakdown, LatencyHistogram, SimStats};
-pub use synth::{spec_like_suite, AccessPattern, WorkloadProfile};
+pub use synth::{spec_like_suite, AccessPattern, StreamShape, WorkloadProfile};
 pub use trace::{read_trace, write_trace, ParseTraceError, TraceClock};

@@ -54,65 +54,119 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Generates the request stream (deterministic for a given seed).
+    /// Generates the request stream (deterministic for a given seed): the
+    /// profile's [`StreamShape`], with arrival gaps of `interarrival` scaled
+    /// by a uniform draw from `[0, 2)` off the shape's generator.
     ///
     /// # Panics
     ///
     /// Panics if `read_fraction` is outside `[0, 1]` or the footprint is
     /// smaller than one line.
     pub fn generate(&self, seed: u64) -> Vec<MemRequest> {
+        let mut shape = StreamShape::from_profile(self, seed);
+        let mut now = 0.0f64;
+        (0..self.requests)
+            .map(|i| {
+                let (op, address, size) = shape.next_access();
+                now += self.interarrival.as_seconds() * shape.rng.gen_range(0.0..2.0);
+                MemRequest::new(i as u64, Time::from_seconds(now), op, address, size)
+            })
+            .collect()
+    }
+}
+
+/// A deterministic, incremental (op, address) generator: the spatial
+/// pattern and read:write mix of a [`WorkloadProfile`], one access at a
+/// time. Trace replay steps it through [`WorkloadProfile::generate`];
+/// event-driven sources step it directly and take arrival times from an
+/// arrival process or client feedback instead of the profile's
+/// `interarrival`.
+///
+/// # Examples
+///
+/// ```
+/// use memsim::{spec_like_suite, StreamShape};
+///
+/// let profile = &spec_like_suite(100)[0];
+/// let mut shape = StreamShape::from_profile(profile, 42);
+/// let (_op, address, size) = shape.next_access();
+/// assert!(address < profile.footprint.value());
+/// assert_eq!(size.value(), profile.line_bytes);
+/// ```
+#[derive(Debug, Clone)]
+pub struct StreamShape {
+    pattern: AccessPattern,
+    read_fraction: f64,
+    lines: u64,
+    line_bytes: u64,
+    row_lines: u64,
+    cursor: u64,
+    rng: StdRng,
+}
+
+impl StreamShape {
+    /// Builds the shape of `profile`, its generator seeded with `seed` and
+    /// the profile name folded in, so equal seeds decorrelate across
+    /// profiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile's read fraction is outside `[0, 1]` or its
+    /// footprint is smaller than one line.
+    pub fn from_profile(profile: &WorkloadProfile, seed: u64) -> Self {
         assert!(
-            (0.0..=1.0).contains(&self.read_fraction),
+            (0.0..=1.0).contains(&profile.read_fraction),
             "read fraction must be in [0,1]"
         );
-        let lines = self.footprint.value() / self.line_bytes;
+        let lines = profile.footprint.value() / profile.line_bytes;
         assert!(lines >= 1, "footprint smaller than one line");
-        let mut rng = StdRng::seed_from_u64(seed ^ hash_name(&self.name));
-        let mut out = Vec::with_capacity(self.requests);
-        let mut now = 0.0f64;
-        let mut cursor: u64 = rng.gen_range(0..lines);
-        // Row span used by the Clustered pattern (typical 8 KiB row).
-        let row_lines = (8192 / self.line_bytes).max(1);
-
-        for i in 0..self.requests {
-            let line = match self.pattern {
-                AccessPattern::Stream => {
-                    cursor = (cursor + 1) % lines;
-                    cursor
-                }
-                AccessPattern::Strided { stride } => {
-                    cursor = (cursor + stride / self.line_bytes) % lines;
-                    cursor
-                }
-                AccessPattern::Random => rng.gen_range(0..lines),
-                AccessPattern::Clustered { locality } => {
-                    if rng.gen_bool(locality.clamp(0.0, 1.0)) {
-                        let row_base = cursor / row_lines * row_lines;
-                        row_base + rng.gen_range(0..row_lines.min(lines))
-                    } else {
-                        cursor = rng.gen_range(0..lines);
-                        cursor
-                    }
-                }
-            };
-            let op = if rng.gen_bool(self.read_fraction) {
-                MemOp::Read
-            } else {
-                MemOp::Write
-            };
-            // Exponential-ish inter-arrival (two-uniform average keeps it
-            // simple and deterministic in distribution shape).
-            let jitter = rng.gen_range(0.0..2.0);
-            now += self.interarrival.as_seconds() * jitter;
-            out.push(MemRequest::new(
-                i as u64,
-                Time::from_seconds(now),
-                op,
-                line * self.line_bytes,
-                ByteCount::new(self.line_bytes),
-            ));
+        let mut rng = StdRng::seed_from_u64(seed ^ hash_name(&profile.name));
+        let cursor = rng.gen_range(0..lines);
+        StreamShape {
+            pattern: profile.pattern,
+            read_fraction: profile.read_fraction,
+            lines,
+            line_bytes: profile.line_bytes,
+            // Row span used by the Clustered pattern (typical 8 KiB row).
+            row_lines: (8192 / profile.line_bytes).max(1),
+            cursor,
+            rng,
         }
-        out
+    }
+
+    /// The next access: operation, line-aligned byte address, transfer size.
+    pub fn next_access(&mut self) -> (MemOp, u64, ByteCount) {
+        let line = match self.pattern {
+            AccessPattern::Stream => {
+                self.cursor = (self.cursor + 1) % self.lines;
+                self.cursor
+            }
+            AccessPattern::Strided { stride } => {
+                self.cursor = (self.cursor + stride / self.line_bytes) % self.lines;
+                self.cursor
+            }
+            AccessPattern::Random => self.rng.gen_range(0..self.lines),
+            AccessPattern::Clustered { locality } => {
+                if self.rng.gen_bool(locality.clamp(0.0, 1.0)) {
+                    // The last row of a footprint that is not a whole
+                    // number of rows is short.
+                    let row_base = self.cursor / self.row_lines * self.row_lines;
+                    row_base
+                        + self
+                            .rng
+                            .gen_range(0..self.row_lines.min(self.lines - row_base))
+                } else {
+                    self.cursor = self.rng.gen_range(0..self.lines);
+                    self.cursor
+                }
+            }
+        };
+        let op = if self.rng.gen_bool(self.read_fraction) {
+            MemOp::Read
+        } else {
+            MemOp::Write
+        };
+        (op, line * self.line_bytes, ByteCount::new(self.line_bytes))
     }
 }
 
@@ -220,17 +274,69 @@ mod tests {
 
     #[test]
     fn addresses_stay_within_footprint() {
+        let mut short_last_row = profile(AccessPattern::Clustered { locality: 0.9 });
+        // One and a half 8 KiB rows.
+        short_last_row.footprint = ByteCount::new(12 * 1024);
+        short_last_row.requests = 20_000;
+        for p in [
+            profile(AccessPattern::Stream),
+            profile(AccessPattern::Random),
+            profile(AccessPattern::Strided { stride: 4096 }),
+            profile(AccessPattern::Clustered { locality: 0.7 }),
+            short_last_row,
+        ] {
+            for r in p.generate(1) {
+                assert!(
+                    r.address < p.footprint.value(),
+                    "{:?} over {}",
+                    p.pattern,
+                    p.footprint
+                );
+                assert_eq!(r.address % 64, 0, "line aligned");
+            }
+        }
+    }
+
+    #[test]
+    fn deterministic_per_seed_and_name() {
+        let p = profile(AccessPattern::Random);
+        let stream = |p: &WorkloadProfile, seed: u64| {
+            let mut s = StreamShape::from_profile(p, seed);
+            (0..100).map(|_| s.next_access()).collect::<Vec<_>>()
+        };
+        assert_eq!(stream(&p, 5), stream(&p, 5));
+        assert_ne!(stream(&p, 5), stream(&p, 6));
+        let mut renamed = p.clone();
+        renamed.name = "other".into();
+        assert_ne!(stream(&p, 5), stream(&renamed, 5), "name decorrelates");
+    }
+
+    #[test]
+    fn accesses_stay_in_footprint_and_respect_mix() {
         for pattern in [
             AccessPattern::Stream,
             AccessPattern::Random,
             AccessPattern::Strided { stride: 4096 },
-            AccessPattern::Clustered { locality: 0.7 },
+            AccessPattern::Clustered { locality: 0.6 },
         ] {
             let p = profile(pattern);
-            for r in p.generate(1) {
-                assert!(r.address < p.footprint.value(), "{pattern:?}");
-                assert_eq!(r.address % 64, 0, "line aligned");
+            let mut shape = StreamShape::from_profile(&p, 9);
+            let n = 4000;
+            let mut reads = 0usize;
+            for _ in 0..n {
+                let (op, addr, size) = shape.next_access();
+                assert!(addr < p.footprint.value(), "{pattern:?}");
+                assert_eq!(addr % 64, 0);
+                assert_eq!(size.value(), 64);
+                if op.is_read() {
+                    reads += 1;
+                }
             }
+            let frac = reads as f64 / n as f64;
+            assert!(
+                (frac - 0.8).abs() < 0.05,
+                "{pattern:?}: read fraction {frac}"
+            );
         }
     }
 

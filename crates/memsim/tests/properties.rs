@@ -9,7 +9,7 @@ use comet_units::{ByteCount, Time};
 use memsim::{
     read_trace, run_simulation, write_trace, AccessPattern, AddressMap, DramConfig, DramDevice,
     EpcmConfig, EpcmDevice, Interleave, MemOp, MemRequest, MemoryDevice, ReplayMode, Scheduler,
-    SimConfig, TraceClock, WorkloadProfile,
+    SimConfig, StreamShape, TraceClock, WorkloadProfile,
 };
 use proptest::prelude::*;
 
@@ -159,6 +159,33 @@ proptest! {
         }
         // Determinism.
         prop_assert_eq!(&trace, &p.generate(seed));
+    }
+
+    #[test]
+    fn stream_shapes_stay_in_footprint(
+        pattern in any_pattern(),
+        lines in 1u64..1024,
+        seed in any::<u64>(),
+    ) {
+        // Footprints of any line count, including ones that end in a
+        // partial 8 KiB row.
+        let p = WorkloadProfile {
+            name: "shape-prop".into(),
+            read_fraction: 0.6,
+            footprint: ByteCount::new(lines * 64),
+            pattern,
+            interarrival: Time::from_nanos(1.0),
+            requests: 0,
+            line_bytes: 64,
+        };
+        let mut shape = StreamShape::from_profile(&p, seed);
+        let mut replay = StreamShape::from_profile(&p, seed);
+        for _ in 0..300 {
+            let (op, addr, size) = shape.next_access();
+            prop_assert_eq!((op, addr, size), replay.next_access(), "deterministic");
+            prop_assert!(addr < p.footprint.value());
+            prop_assert_eq!(addr % 64, 0);
+        }
     }
 
     // --- engine conservation --------------------------------------------------------

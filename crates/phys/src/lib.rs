@@ -74,8 +74,8 @@ pub use materials::{
 };
 pub use mixing::{effective_index, fraction_for_kappa, lorentz_lorenz_mix};
 pub use program::{
-    fig6_case_studies, GenerateTableError, LevelSpec, ProgramMode, ProgramTable, ResetSpec,
-    CRYSTALLINE_GUARD, LEVEL_TRANSMITTANCE_FLOOR,
+    GenerateTableError, LevelSpec, ProgramMode, ProgramTable, ResetSpec, CRYSTALLINE_GUARD,
+    LEVEL_TRANSMITTANCE_FLOOR,
 };
 pub use spectra::{
     c_band_end, c_band_start, c_band_wavelengths, cell_spectrum, material_spectra,

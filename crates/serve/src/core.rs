@@ -33,7 +33,7 @@
 //! one shard.
 
 use crate::batch::{BatchConfig, WriteBatcher};
-use crate::source::{MuxPoll, RequestSource, TenantMux, TenantSpec};
+use crate::source::{MuxPoll, TenantMux, TenantSpec};
 use crate::stats::{ChannelStats, DepthSeries, ServeReport, TenantStats};
 use comet_units::{ByteCount, Energy, Time};
 use memsim::{
@@ -148,23 +148,13 @@ pub fn run_service(
     workload_label: &str,
 ) -> ServeReport {
     assert!(!spec.tenants.is_empty(), "serve spec needs tenants");
-    let sources = spec
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| t.instantiate(fallback, seed, i))
-        .collect();
-    run_service_with_sources(factory, sources, spec, workload_label)
-}
-
-/// [`run_service`] with pre-built sources (library callers that implement
-/// their own [`RequestSource`]).
-pub fn run_service_with_sources(
-    factory: &dyn DeviceFactory,
-    sources: Vec<Box<dyn RequestSource>>,
-    spec: &ServeSpec,
-    workload_label: &str,
-) -> ServeReport {
+    let mut mux = TenantMux::new(
+        spec.tenants
+            .iter()
+            .enumerate()
+            .map(|(i, t)| t.instantiate(fallback, seed, i))
+            .collect(),
+    );
     let shard0 = factory.build();
     let topo = shard0.topology();
     let background = shard0.background_power();
@@ -177,7 +167,6 @@ pub fn run_service_with_sources(
     let mut devices: Vec<&mut dyn MemoryDevice> =
         shards.iter_mut().map(|s| &mut **s as _).collect();
 
-    let mut mux = TenantMux::new(sources);
     let mut tenants: Vec<TenantStats> = mux.names().into_iter().map(TenantStats::new).collect();
     let mut channels: Vec<ChannelStats> = (0..topo.channels).map(ChannelStats::new).collect();
     let mut stats = SimStats::new(device_name, workload_label);

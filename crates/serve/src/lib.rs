@@ -6,13 +6,15 @@
 //! throughput-and-queueing claims, and queueing only exists under a
 //! request process:
 //!
-//! * **Request sources** ([`RequestSource`]) — open-loop arrival processes
-//!   ([`ArrivalProcess`]: deterministic-rate, Poisson, bursty on/off) and
-//!   closed-loop clients (fixed concurrency with think time), each seeded
-//!   and deterministic, interleaved by a multi-tenant [`TenantMux`] with
-//!   per-tenant accounting; tenants optionally source *line payloads*
-//!   ([`TenantSpec::with_payload`], a `comet_data::PayloadSpec`) so
-//!   content-aware devices price every store from its actual bytes;
+//! * **Tenant sources** ([`TenantSource`]) — each steps `memsim`'s one
+//!   (op, address) generator, [`memsim::StreamShape`], and times it by an
+//!   open-loop arrival process ([`ArrivalProcess`]: deterministic-rate,
+//!   Poisson, bursty on/off) or closed-loop clients (fixed concurrency with
+//!   think time), seeded and deterministic, interleaved by a multi-tenant
+//!   [`TenantMux`] with per-tenant accounting; tenants optionally source
+//!   *line payloads* ([`TenantSpec::with_payload`], a
+//!   `comet_data::PayloadSpec`) so content-aware devices price every store
+//!   from its actual bytes;
 //! * **A channel-sharded service core** ([`run_service`]) — one logical
 //!   simulation partitioned across channel-owned
 //!   [`memsim::MemoryDevice`] backends (address-interleaved through
@@ -53,16 +55,11 @@
 mod arrival;
 mod batch;
 mod core;
-mod shape;
 mod source;
 mod stats;
 
 pub use arrival::{ArrivalClock, ArrivalProcess};
 pub use batch::BatchConfig;
-pub use core::{run_service, run_service_with_sources, ServeSpec};
-pub use shape::StreamShape;
-pub use source::{
-    ClosedLoopSource, MuxPoll, OpenLoopSource, RequestSource, SourcePoll, Sourced, TenantLoad,
-    TenantMux, TenantSpec,
-};
+pub use core::{run_service, ServeSpec};
+pub use source::{MuxPoll, SourcePoll, Sourced, TenantLoad, TenantMux, TenantSource, TenantSpec};
 pub use stats::{ChannelStats, DepthSeries, ServeReport, TenantStats};

@@ -1,6 +1,6 @@
-//! Request sources: open-loop, closed-loop, and the multi-tenant mux.
+//! Tenant sources and the multi-tenant mux.
 //!
-//! A [`RequestSource`] is the demand side of the service core: polled for
+//! A [`TenantSource`] is the demand side of the service core: polled for
 //! its next arrival, asked to materialize the request, and notified of
 //! completions (which is how closed-loop clients pace themselves). The
 //! [`TenantMux`] interleaves named sources by arrival time — ties resolve
@@ -8,10 +8,9 @@
 //! preserving each tenant's own request order.
 
 use crate::arrival::{ArrivalClock, ArrivalProcess};
-use crate::shape::StreamShape;
 use comet_data::{PayloadGen, PayloadSpec};
 use comet_units::{ByteCount, Time};
-use memsim::{LineData, MemOp, WorkloadProfile};
+use memsim::{LineData, MemOp, StreamShape, WorkloadProfile};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -61,193 +60,96 @@ pub struct Sourced {
     pub payload: Option<LineData>,
 }
 
-/// The demand side of the service core.
+/// How a [`TenantSource`] times its requests.
+#[derive(Debug)]
+enum Arrivals {
+    /// Open loop: arrivals from an [`ArrivalProcess`], oblivious to service
+    /// progress. `staged` holds the polled but not yet taken arrival.
+    Open {
+        clock: ArrivalClock,
+        staged: Option<Time>,
+    },
+    /// Closed loop: independent clients, each keeping one request in flight
+    /// and re-issuing `think` after its completion — the classic
+    /// fixed-concurrency load generator whose offered rate self-limits at
+    /// the service rate. `ready` holds the times at which a client is ready
+    /// to issue (min-heap).
+    Closed {
+        think: Time,
+        ready: BinaryHeap<Reverse<OrdTime>>,
+    },
+}
+
+/// One tenant's request stream: a [`StreamShape`] supplies each access, an
+/// open- or closed-loop arrival model times it, and an optional payload
+/// generator fills every store's line.
 ///
-/// Implementations must be deterministic: the sequence of polls, takes and
-/// completions fully determines the generated stream.
-pub trait RequestSource: Send {
+/// Deterministic: the sequence of polls, takes and completions fully
+/// determines the generated stream. Built by [`TenantSpec::instantiate`].
+#[derive(Debug)]
+pub struct TenantSource {
+    name: String,
+    shape: StreamShape,
+    remaining: usize,
+    payload: Option<PayloadGen>,
+    arrivals: Arrivals,
+}
+
+impl TenantSource {
     /// Tenant name used in per-tenant reports.
-    fn name(&self) -> &str;
+    pub fn name(&self) -> &str {
+        &self.name
+    }
 
     /// The next arrival, without consuming it.
-    fn poll(&mut self) -> SourcePoll;
+    pub fn poll(&mut self) -> SourcePoll {
+        if self.remaining == 0 {
+            return SourcePoll::Exhausted;
+        }
+        match &mut self.arrivals {
+            Arrivals::Open { clock, staged } => {
+                SourcePoll::Ready(*staged.get_or_insert_with(|| clock.next_arrival()))
+            }
+            Arrivals::Closed { ready, .. } => match ready.peek() {
+                Some(Reverse(t)) => SourcePoll::Ready(Time::from_seconds(t.0)),
+                None => SourcePoll::Blocked,
+            },
+        }
+    }
 
     /// Consumes and materializes the request last reported ready.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if the source is not currently
-    /// [`SourcePoll::Ready`].
-    fn take(&mut self) -> Sourced;
-
-    /// Notifies the source that one of its requests finished at `finished`
-    /// (closed-loop sources schedule their next request from it; open-loop
-    /// sources ignore it).
-    fn on_complete(&mut self, finished: Time);
-}
-
-/// An open-loop source: arrivals from an [`ArrivalProcess`], oblivious to
-/// service progress.
-#[derive(Debug)]
-pub struct OpenLoopSource {
-    name: String,
-    shape: StreamShape,
-    clock: ArrivalClock,
-    staged: Option<Time>,
-    remaining: usize,
-    payload: Option<PayloadGen>,
-}
-
-impl OpenLoopSource {
-    /// A source emitting `requests` accesses of `shape` at the process's
-    /// arrival times.
-    pub fn new(
-        name: impl Into<String>,
-        shape: StreamShape,
-        process: ArrivalProcess,
-        requests: usize,
-        seed: u64,
-    ) -> Self {
-        OpenLoopSource {
-            name: name.into(),
-            shape,
-            clock: process.clock(seed),
-            staged: None,
-            remaining: requests,
-            payload: None,
+    /// Panics if the source is not currently [`SourcePoll::Ready`].
+    pub fn take(&mut self) -> Sourced {
+        let arrival = match &mut self.arrivals {
+            Arrivals::Open { staged, .. } => staged.take(),
+            Arrivals::Closed { ready, .. } => ready.pop().map(|Reverse(t)| Time::from_seconds(t.0)),
         }
-    }
-
-    /// Attaches a payload generator: every store this source emits carries
-    /// a line generated by it.
-    pub fn with_payload(mut self, payload: PayloadGen) -> Self {
-        self.payload = Some(payload);
-        self
-    }
-}
-
-impl RequestSource for OpenLoopSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn poll(&mut self) -> SourcePoll {
-        if self.remaining == 0 {
-            return SourcePoll::Exhausted;
-        }
-        let at = *self.staged.get_or_insert_with(|| self.clock.next_arrival());
-        SourcePoll::Ready(at)
-    }
-
-    fn take(&mut self) -> Sourced {
-        let arrival = self.staged.take().expect("take() without a Ready poll");
+        .expect("take() without a Ready poll");
         self.remaining -= 1;
         let (op, address, size) = self.shape.next_access();
+        let payload = match &mut self.payload {
+            Some(gen) if !op.is_read() => Some(gen.next_line(address, size.value())),
+            _ => None,
+        };
         Sourced {
             arrival,
             op,
             address,
             size,
-            payload: payload_for(&mut self.payload, op, address, size),
+            payload,
         }
     }
 
-    fn on_complete(&mut self, _finished: Time) {}
-}
-
-/// Materializes the payload of one access: stores of payload-carrying
-/// sources get a generated line, everything else `None`.
-fn payload_for(
-    gen: &mut Option<PayloadGen>,
-    op: MemOp,
-    address: u64,
-    size: ByteCount,
-) -> Option<LineData> {
-    match gen {
-        Some(gen) if !op.is_read() => Some(gen.next_line(address, size.value())),
-        _ => None,
-    }
-}
-
-/// A closed-loop source: `clients` independent clients, each keeping one
-/// request in flight and re-issuing `think` after its completion — the
-/// classic fixed-concurrency load generator whose offered rate self-limits
-/// at the service rate.
-#[derive(Debug)]
-pub struct ClosedLoopSource {
-    name: String,
-    shape: StreamShape,
-    think: Time,
-    /// Times at which a client is ready to issue (min-heap).
-    ready: BinaryHeap<Reverse<OrdTime>>,
-    remaining: usize,
-    payload: Option<PayloadGen>,
-}
-
-impl ClosedLoopSource {
-    /// A source of `requests` total accesses from `clients` clients with
-    /// the given think time. All clients are ready at time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients` is zero (the source could never issue).
-    pub fn new(
-        name: impl Into<String>,
-        shape: StreamShape,
-        clients: usize,
-        think: Time,
-        requests: usize,
-    ) -> Self {
-        assert!(clients > 0, "closed loop needs at least one client");
-        ClosedLoopSource {
-            name: name.into(),
-            shape,
-            think,
-            ready: (0..clients).map(|_| Reverse(OrdTime(0.0))).collect(),
-            remaining: requests,
-            payload: None,
+    /// Notifies the source that one of its requests finished at `finished`:
+    /// a closed-loop client issues again `think` later; open loops ignore
+    /// it.
+    pub fn on_complete(&mut self, finished: Time) {
+        if let Arrivals::Closed { think, ready } = &mut self.arrivals {
+            ready.push(Reverse(OrdTime((finished + *think).as_seconds())));
         }
-    }
-
-    /// Attaches a payload generator: every store this source emits carries
-    /// a line generated by it.
-    pub fn with_payload(mut self, payload: PayloadGen) -> Self {
-        self.payload = Some(payload);
-        self
-    }
-}
-
-impl RequestSource for ClosedLoopSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn poll(&mut self) -> SourcePoll {
-        if self.remaining == 0 {
-            return SourcePoll::Exhausted;
-        }
-        match self.ready.peek() {
-            Some(Reverse(t)) => SourcePoll::Ready(Time::from_seconds(t.0)),
-            None => SourcePoll::Blocked,
-        }
-    }
-
-    fn take(&mut self) -> Sourced {
-        let Reverse(t) = self.ready.pop().expect("take() without a Ready poll");
-        self.remaining -= 1;
-        let (op, address, size) = self.shape.next_access();
-        Sourced {
-            arrival: Time::from_seconds(t.0),
-            op,
-            address,
-            size,
-            payload: payload_for(&mut self.payload, op, address, size),
-        }
-    }
-
-    fn on_complete(&mut self, finished: Time) {
-        self.ready
-            .push(Reverse(OrdTime((finished + self.think).as_seconds())));
     }
 }
 
@@ -269,16 +171,9 @@ pub enum MuxPoll {
 }
 
 /// Interleaves named sources by arrival time with per-tenant bookkeeping.
+#[derive(Debug)]
 pub struct TenantMux {
-    tenants: Vec<Box<dyn RequestSource>>,
-}
-
-impl std::fmt::Debug for TenantMux {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantMux")
-            .field("tenants", &self.names())
-            .finish()
-    }
+    tenants: Vec<TenantSource>,
 }
 
 impl TenantMux {
@@ -287,7 +182,7 @@ impl TenantMux {
     /// # Panics
     ///
     /// Panics on an empty tenant list.
-    pub fn new(tenants: Vec<Box<dyn RequestSource>>) -> Self {
+    pub fn new(tenants: Vec<TenantSource>) -> Self {
         assert!(!tenants.is_empty(), "mux needs at least one tenant");
         TenantMux { tenants }
     }
@@ -427,44 +322,40 @@ impl TenantSpec {
     /// Builds the tenant's source. `fallback` supplies the shape when the
     /// spec carries none; `seed` is the cell seed, decorrelated per tenant
     /// by index and name.
-    pub fn instantiate(
-        &self,
-        fallback: &WorkloadProfile,
-        seed: u64,
-        index: usize,
-    ) -> Box<dyn RequestSource> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a closed-loop tenant has no clients (it could never
+    /// issue).
+    pub fn instantiate(&self, fallback: &WorkloadProfile, seed: u64, index: usize) -> TenantSource {
         let profile = self.profile.as_ref().unwrap_or(fallback);
         let tenant_seed =
             seed.wrapping_add((index as u64 + 1).wrapping_mul(SEED_STRIDE)) ^ hash_name(&self.name);
-        let shape = StreamShape::from_profile(profile, tenant_seed);
-        // A third stream off the tenant seed (the shape takes it raw, the
-        // arrival clock rotated by 32), so payload bytes never correlate
-        // with addresses or arrival times.
-        let payload = self
-            .payload
-            .map(|spec| spec.instantiate(tenant_seed.rotate_left(48) ^ SEED_STRIDE));
-        match self.load {
-            TenantLoad::Open(process) => {
-                let mut source = OpenLoopSource::new(
-                    &self.name,
-                    shape,
-                    process,
-                    self.requests,
-                    tenant_seed.rotate_left(32) ^ SEED_STRIDE,
-                );
-                if let Some(payload) = payload {
-                    source = source.with_payload(payload);
-                }
-                Box::new(source)
-            }
+        let arrivals = match self.load {
+            TenantLoad::Open(process) => Arrivals::Open {
+                clock: process.clock(tenant_seed.rotate_left(32) ^ SEED_STRIDE),
+                staged: None,
+            },
             TenantLoad::Closed { clients, think } => {
-                let mut source =
-                    ClosedLoopSource::new(&self.name, shape, clients, think, self.requests);
-                if let Some(payload) = payload {
-                    source = source.with_payload(payload);
+                assert!(clients > 0, "closed loop needs at least one client");
+                Arrivals::Closed {
+                    think,
+                    // Every client is ready at time zero.
+                    ready: (0..clients).map(|_| Reverse(OrdTime(0.0))).collect(),
                 }
-                Box::new(source)
             }
+        };
+        TenantSource {
+            name: self.name.clone(),
+            // The shape takes the tenant seed raw, the arrival clock rotated
+            // by 32 and the payload by 48, so payload bytes never correlate
+            // with addresses or arrival times.
+            shape: StreamShape::from_profile(profile, tenant_seed),
+            remaining: self.requests,
+            payload: self
+                .payload
+                .map(|spec| spec.instantiate(tenant_seed.rotate_left(48) ^ SEED_STRIDE)),
+            arrivals,
         }
     }
 }
@@ -555,7 +446,7 @@ mod tests {
         let b = TenantSpec::open("b", ArrivalProcess::deterministic(1e9), 50);
         let mut sa = a.instantiate(&p, 7, 0);
         let mut sb = b.instantiate(&p, 7, 1);
-        let drain = |s: &mut Box<dyn RequestSource>| {
+        let drain = |s: &mut TenantSource| {
             (0..50)
                 .map(|_| {
                     let _ = s.poll();
