@@ -28,6 +28,16 @@ fn ungray(mut g: u8) -> u8 {
     v
 }
 
+/// Gray-codes each `B`-bit chunk of every byte, MSB first (`B` divides 8).
+fn slice_bytes<const B: usize>(data: &[u8], levels: &mut [u8]) {
+    let mask = (1u16 << B) as u8 - 1;
+    for (cells, &byte) in levels.chunks_exact_mut(8 / B).zip(data) {
+        for (k, level) in cells.iter_mut().enumerate() {
+            *level = gray((byte >> (8 - B * (k + 1))) & mask);
+        }
+    }
+}
+
 /// Packs line bytes into MLC levels and back.
 ///
 /// # Examples
@@ -74,11 +84,28 @@ impl LineCodec {
 
     /// Encodes bytes into one Gray-coded level per cell.
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
+        let mut levels = vec![0u8; self.cells_for(data.len())];
+        self.encode_into(data, &mut levels);
+        levels
+    }
+
+    /// [`LineCodec::encode`] into `levels`, which must hold exactly
+    /// [`LineCodec::cells_for`]`(data.len())` cells.
+    pub(crate) fn encode_into(&self, data: &[u8], levels: &mut [u8]) {
+        debug_assert_eq!(levels.len(), self.cells_for(data.len()));
+        // Cells never straddle a byte at widths that divide 8: slice each
+        // byte directly.
+        match self.bits {
+            1 => return slice_bytes::<1>(data, levels),
+            2 => return slice_bytes::<2>(data, levels),
+            4 => return slice_bytes::<4>(data, levels),
+            _ => {}
+        }
+        // Widths 3, 5 and 6: walk the line as a bitstream.
         let b = self.bits as usize;
         let total_bits = data.len() * 8;
-        let mut levels = Vec::with_capacity(self.cells_for(data.len()));
-        let mut bit = 0usize;
-        while bit < total_bits {
+        for (cell, level) in levels.iter_mut().enumerate() {
+            let bit = cell * b;
             let mut chunk = 0u8;
             for k in 0..b {
                 chunk <<= 1;
@@ -89,10 +116,8 @@ impl LineCodec {
                 }
                 // Past the end: zero pad (the shift already inserted 0).
             }
-            levels.push(gray(chunk));
-            bit += b;
+            *level = gray(chunk);
         }
-        levels
     }
 
     /// Decodes levels back into `len` bytes (the inverse of

@@ -24,6 +24,7 @@
 use comet_units::{Energy, Time};
 use opcm_phys::{CellThermalModel, ProgramMode, ProgramTable};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A `(energy, latency)` price pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,6 +79,10 @@ pub struct TransitionCostModel {
     /// Per-cell read probe price (the RMW overhead DCW-class policies pay
     /// on every cell of every write).
     read: Price,
+    /// Every level→level price, row-major by old level (filled once).
+    matrix: Vec<Price>,
+    /// Every level's content-oblivious price (filled once).
+    via_reset: Vec<Price>,
 }
 
 impl TransitionCostModel {
@@ -96,7 +101,7 @@ impl TransitionCostModel {
             ProgramMode::AmorphousReset => 0,
             ProgramMode::CrystallineReset => (table.levels.len() - 1) as u8,
         };
-        TransitionCostModel {
+        let mut model = TransitionCostModel {
             bits: table.bits,
             program,
             reset: Price {
@@ -108,26 +113,48 @@ impl TransitionCostModel {
                 energy: Energy::from_picojoules(1.0),
                 latency: Time::from_nanos(10.0),
             },
-        }
+            matrix: Vec::new(),
+            via_reset: Vec::new(),
+        };
+        let levels = model.levels();
+        model.via_reset = (0..levels).map(|new| model.price_via_reset(new)).collect();
+        model.matrix = (0..levels)
+            .flat_map(|old| (0..levels).map(move |new| (old, new)))
+            .map(|(old, new)| model.price_transition(old, new))
+            .collect();
+        model
     }
 
     /// The workspace's reference model: the COMET GST cell programmed in
     /// amorphous-reset mode (the paper's Fig. 6 case 2) at `bits`/cell.
-    /// The table generation is memoized process-wide by `opcm-phys`, so
-    /// repeated construction is cheap.
+    /// Each width's model is built once per process, so repeated
+    /// construction (one per device build) is a clone.
     ///
     /// # Panics
     ///
     /// Panics if the cell cannot host `2^bits` distinguishable levels
     /// (GST supports up to 4 bits).
     pub fn gst(bits: u8) -> Self {
-        let table = ProgramTable::generate(
-            &CellThermalModel::comet_gst(),
-            ProgramMode::AmorphousReset,
-            bits,
-        )
-        .expect("the COMET GST cell hosts up to 4 bits/cell");
-        Self::from_program_table(&table)
+        static MODELS: [OnceLock<TransitionCostModel>; 6] = [
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+        ];
+        assert!((1..=6).contains(&bits), "bits per cell must be in 1..=6");
+        MODELS[bits as usize - 1]
+            .get_or_init(|| {
+                let table = ProgramTable::generate(
+                    &CellThermalModel::comet_gst(),
+                    ProgramMode::AmorphousReset,
+                    bits,
+                )
+                .expect("the COMET GST cell hosts up to 4 bits/cell");
+                Self::from_program_table(&table)
+            })
+            .clone()
     }
 
     /// Bits per cell.
@@ -170,13 +197,42 @@ impl TransitionCostModel {
     /// The price of moving one cell from level `old` to level `new`:
     /// zero when conserved, the cumulative pulse difference along the
     /// programming direction, and the via-reset path otherwise — never
-    /// more than [`TransitionCostModel::oblivious`].
+    /// more than [`TransitionCostModel::oblivious`]. A lookup in the
+    /// matrix filled at construction.
+    #[inline]
     pub fn transition(&self, old: u8, new: u8) -> Price {
-        assert!(old < self.levels() && new < self.levels(), "level range");
+        let n = self.levels();
+        assert!(old < n && new < n, "level range");
+        self.transitions_from(old)[new as usize]
+    }
+
+    /// Every price out of level `old`, indexed by the new level: one row
+    /// of the matrix behind [`TransitionCostModel::transition`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old` is not a level.
+    #[inline]
+    pub(crate) fn transitions_from(&self, old: u8) -> &[Price] {
+        let n = self.program.len();
+        &self.matrix[old as usize * n..][..n]
+    }
+
+    /// The content-oblivious per-cell price: erase, then program the
+    /// target level from reset — what a write costs when the device does
+    /// not know the cell's current state. A lookup in the vector filled at
+    /// construction.
+    #[inline]
+    pub fn oblivious(&self, new: u8) -> Price {
+        self.via_reset[new as usize]
+    }
+
+    /// Computes one matrix entry (see [`TransitionCostModel::transition`]).
+    fn price_transition(&self, old: u8, new: u8) -> Price {
         if old == new {
             return Price::ZERO;
         }
-        let via_reset = self.oblivious(new);
+        let via_reset = self.price_via_reset(new);
         if self.along_programming_axis(old, new) {
             let (a, b) = (self.program[old as usize], self.program[new as usize]);
             let direct = Price {
@@ -190,11 +246,9 @@ impl TransitionCostModel {
         via_reset
     }
 
-    /// The content-oblivious per-cell price: erase, then program the
-    /// target level from reset — what a write costs when the device does
-    /// not know the cell's current state.
-    pub fn oblivious(&self, new: u8) -> Price {
-        assert!(new < self.levels(), "level range");
+    /// Computes one level's via-reset price (see
+    /// [`TransitionCostModel::oblivious`]).
+    fn price_via_reset(&self, new: u8) -> Price {
         self.reset.add(self.program[new as usize])
     }
 
@@ -230,7 +284,6 @@ impl fmt::Display for TransitionCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
 
     fn model() -> &'static TransitionCostModel {
         static MODEL: OnceLock<TransitionCostModel> = OnceLock::new();

@@ -42,11 +42,15 @@
 use crate::codec::LineCodec;
 use crate::cost::{Price, TransitionCostModel};
 use comet_units::{Energy, Time};
-use memsim::{LineData, PricedWrite, WriteCost, WritePricer};
+use memsim::{LineData, PricedWrite, WriteCost, WritePricer, MAX_LINE_BYTES};
 use std::fmt;
 
 /// Data bits per Flip-N-Write word (the classic granularity).
 const WORD_BITS: usize = 32;
+
+/// Cells in the widest line at the narrowest width: one-bit cells over a
+/// [`MAX_LINE_BYTES`] payload.
+const MAX_CELLS: usize = MAX_LINE_BYTES * 8;
 
 /// How a [`DataWriteModel`] prices writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,80 +161,77 @@ impl DataWriteModel {
         (WORD_BITS / self.codec.bits() as usize).max(1)
     }
 
-    /// The mask that complements one cell's data chunk.
-    fn flip_mask(&self) -> u8 {
-        (1u16 << self.codec.bits()) as u8 - 1
-    }
-
     /// Splits a stored image into (cell levels, flip bytes). Images are
     /// written by this model, so the split is by construction; a missing
     /// image means an erased line (all cells at the reset level, flips 0).
     fn split_image<'i>(&self, image: &'i [u8], cells: usize) -> (&'i [u8], &'i [u8]) {
         image.split_at(cells.min(image.len()))
     }
+}
 
-    /// Prices one word under a fixed flip state. `old` holds physical
-    /// levels, `logical` the target data chunks (pre-Gray values are not
-    /// needed: flipping complements the chunk, and the codec's Gray map is
-    /// applied per cell here).
-    fn word_price(
-        &self,
-        old: &[u8],
-        target_plain: &[u8],
-        flip: bool,
-        old_flip: bool,
-    ) -> (u64, Price) {
-        let mask = self.flip_mask();
-        let mut cells = 0u64;
-        let mut energy = Energy::ZERO;
-        let mut latency = Time::ZERO;
-        for (&o, &t) in old.iter().zip(target_plain) {
-            let target = if flip { flip_level(t, mask) } else { t };
-            if o != target {
-                let p = self.costs.transition(o, target);
-                cells += 1;
-                energy += p.energy;
-                latency = latency.max(p.latency);
-            }
-        }
-        if flip != old_flip {
-            // The flip cell toggles between the reset level and the
-            // deepest level — one more transition on the same array.
-            let (from, to) = if old_flip {
-                (self.costs.levels() - 1, 0)
-            } else {
-                (0, self.costs.levels() - 1)
-            };
-            let p = self.costs.transition(from, to);
-            cells += 1;
-            energy += p.energy;
-            latency = latency.max(p.latency);
-        }
-        (cells, Price { energy, latency })
+/// The XOR that complements a Gray-coded `bits`-wide level's data chunk
+/// (decode, invert the data bits, re-encode): Gray of the complement is
+/// the Gray code with its top bit flipped, so flipping is an involution on
+/// levels.
+fn flip_xor(bits: u8) -> u8 {
+    // gray(~v) = ~v ^ (~v >> 1) = (v ^ (v >> 1)) ^ top_bit  (within mask)
+    let mask = (1u16 << bits) as u8 - 1;
+    mask & !(mask >> 1)
+}
+
+/// The running price of one way of writing a word: programmed cells,
+/// summed energy, slowest pulse.
+#[derive(Clone, Copy)]
+struct Tally {
+    cells: u64,
+    energy: Energy,
+    latency: Time,
+}
+
+impl Tally {
+    const ZERO: Tally = Tally {
+        cells: 0,
+        energy: Energy::ZERO,
+        latency: Time::ZERO,
+    };
+
+    /// Adds one programmed cell.
+    #[inline]
+    fn add(&mut self, p: Price) {
+        self.cells += 1;
+        self.energy += p.energy;
+        self.latency = slower(self.latency, p.latency);
     }
 }
 
-/// Complements a Gray-coded level's data chunk: decode, invert the data
-/// bits, re-encode. Gray of the complement is the Gray code with its top
-/// bit flipped, so this is an involution on levels.
-fn flip_level(level: u8, mask: u8) -> u8 {
-    // gray(~v) = ~v ^ (~v >> 1) = (v ^ (v >> 1)) ^ top_bit  (within mask)
-    level ^ (mask & !(mask >> 1))
+/// The longer of two pulse latencies. Prices never hold a NaN or a
+/// negative zero, so this equals `Time::max` bit for bit; a compare and
+/// a rarely taken branch keep the slowest-pulse fold off the loop's
+/// dependency chain, which the NaN-aware `max` puts it on.
+#[inline]
+fn slower(a: Time, b: Time) -> Time {
+    if b > a {
+        b
+    } else {
+        a
+    }
 }
 
 impl WritePricer for DataWriteModel {
     fn price_write(&self, stored: Option<&[u8]>, data: &LineData) -> PricedWrite {
-        let new_levels = self.codec.encode(data.bytes());
-        let cells = new_levels.len();
+        let cells = self.codec.cells_for(data.len());
+        let mut encoded = [0u8; MAX_CELLS];
+        self.codec.encode_into(data.bytes(), &mut encoded[..cells]);
+        let new_levels = &encoded[..cells];
 
         if self.policy == DataPolicy::Oblivious {
             // Erase + program every cell; no state kept.
             let mut energy = Energy::ZERO;
             let mut latency = Time::ZERO;
-            for &l in &new_levels {
+            for &l in new_levels {
                 let p = self.costs.oblivious(l);
                 energy += p.energy;
-                latency = latency.max(p.latency);
+                latency = slower(latency, p.latency);
             }
             return PricedWrite {
                 cost: WriteCost {
@@ -251,29 +252,57 @@ impl WritePricer for DataWriteModel {
         let mut written = 0u64;
 
         let reset_level = self.costs.reset_level(); // 0: enforced by `new`
-        let empty: &[u8] = &[];
-        let (old_levels, old_flips) = match stored {
-            Some(image) => self.split_image(image, cells),
-            None => (empty, empty),
+        let (old_levels, old_flips) = self.split_image(stored.unwrap_or(&[]), cells);
+        // Cells the stored image does not cover sit erased.
+        let mut erased;
+        let old_levels = if old_levels.len() == cells {
+            old_levels
+        } else {
+            erased = [reset_level; MAX_CELLS];
+            erased[..old_levels.len()].copy_from_slice(old_levels);
+            &erased[..cells]
         };
-        let old_at = |c: usize| old_levels.get(c).copied().unwrap_or(reset_level);
 
         let word = self.word_cells();
-        let words = cells.div_ceil(word.max(1));
+        let words = cells.div_ceil(word);
+        let fnw = self.policy == DataPolicy::DcwFnw;
+        let flip = flip_xor(self.codec.bits());
         let flip_margin = self.costs.reset_price().energy;
-        let mut image_levels = vec![0u8; cells];
-        let mut image_flips = vec![0u8; words];
+        let deepest = self.costs.levels() - 1;
+        let mut image = vec![0u8; cells + words];
+        let (image_levels, image_flips) = image.split_at_mut(cells);
 
         for (w, flip_slot) in image_flips.iter_mut().enumerate() {
             let span = (w * word)..((w * word + word).min(cells));
-            let old: Vec<u8> = span.clone().map(old_at).collect();
+            let old = &old_levels[span.clone()];
             let target = &new_levels[span.clone()];
             let old_flip = old_flips.get(w).copied().unwrap_or(0) != 0;
 
-            let (keep_cells, keep_price) = self.word_price(&old, target, old_flip, old_flip);
-            let (cells_chosen, price, flip) = if self.policy == DataPolicy::DcwFnw {
-                let (toggle_cells, toggle_price) =
-                    self.word_price(&old, target, !old_flip, old_flip);
+            // One pass prices both options: `keep` writes the word under
+            // its stored flip state (the plain DCW write), `toggle` under
+            // the other one.
+            let keep_xor = if old_flip { flip } else { 0 };
+            let mut keep = Tally::ZERO;
+            let mut toggle = Tally::ZERO;
+            for (&o, &t) in old.iter().zip(target) {
+                let from_o = self.costs.transitions_from(o);
+                let k = t ^ keep_xor;
+                if o != k {
+                    keep.add(from_o[k as usize]);
+                }
+                if fnw && o != k ^ flip {
+                    toggle.add(from_o[(k ^ flip) as usize]);
+                }
+            }
+            let toggled = if fnw {
+                // The flip cell toggles between the reset level and the
+                // deepest level — one more transition on the same array.
+                let (from, to) = if old_flip {
+                    (deepest, reset_level)
+                } else {
+                    (reset_level, deepest)
+                };
+                toggle.add(self.costs.transition(from, to));
                 // Toggle only on a Pareto win with margin: no more
                 // programmed cells AND at least one erase's worth of
                 // energy saved. The keep option *is* the plain DCW write,
@@ -289,32 +318,25 @@ impl WritePricer for DataWriteModel {
                 // structurally — see the module docs — which is why the
                 // swept ordering is asserted as a pinned-seed regression
                 // gate, not claimed as a theorem.)
-                let improves = toggle_cells <= keep_cells
-                    && toggle_price.energy + flip_margin <= keep_price.energy;
-                if improves {
-                    (toggle_cells, toggle_price, !old_flip)
-                } else {
-                    (keep_cells, keep_price, old_flip)
-                }
+                toggle.cells <= keep.cells && toggle.energy + flip_margin <= keep.energy
             } else {
-                (keep_cells, keep_price, old_flip)
+                false
+            };
+            let (chosen, level_xor) = if toggled {
+                (toggle, keep_xor ^ flip)
+            } else {
+                (keep, keep_xor)
             };
 
-            written += cells_chosen;
-            energy += price.energy;
-            pulse = pulse.max(price.latency);
-            let mask = self.flip_mask();
-            for (i, c) in span.enumerate() {
-                image_levels[c] = if flip {
-                    flip_level(target[i], mask)
-                } else {
-                    target[i]
-                };
+            written += chosen.cells;
+            energy += chosen.energy;
+            pulse = slower(pulse, chosen.latency);
+            for (cell, &t) in image_levels[span].iter_mut().zip(target) {
+                *cell = t ^ level_xor;
             }
-            *flip_slot = flip as u8;
+            *flip_slot = (old_flip != toggled) as u8;
         }
 
-        image_levels.extend_from_slice(&image_flips);
         PricedWrite {
             cost: WriteCost {
                 energy,
@@ -323,7 +345,7 @@ impl WritePricer for DataWriteModel {
                 cells_written: written,
                 cells_total: cells as u64,
             },
-            image: Some(image_levels),
+            image: Some(image),
         }
     }
 
@@ -363,7 +385,6 @@ mod tests {
     fn flip_level_is_the_data_complement() {
         for bits in 1..=6u8 {
             let codec = LineCodec::new(bits);
-            let mask = (1u16 << bits) as u8 - 1;
             let data: Vec<u8> = (0..32u8).collect();
             let plain = codec.encode(&data);
             let inverted: Vec<u8> = data.iter().map(|b| !b).collect();
@@ -374,8 +395,7 @@ mod tests {
             // applied consistently to old and new images).
             let full = (data.len() * 8) / bits as usize;
             for (p, f) in plain.iter().zip(&flipped).take(full) {
-                assert_eq!(flip_level(*p, mask), *f, "bits={bits}");
-                assert_eq!(flip_level(flip_level(*p, mask), mask), *p, "involution");
+                assert_eq!(p ^ flip_xor(bits), *f, "bits={bits}");
             }
         }
     }

@@ -5,7 +5,9 @@
 //! more cells than DCW from the same state, and with one-bit cells never
 //! more than half of each word, flip cell included); the per-transition
 //! cost model orders the policies DCW+FNW ≤ DCW ≤ oblivious on every
-//! write from a shared state.
+//! write from a shared state; and the fast pricing path (price matrix,
+//! byte-aligned codec, single-pass Flip-N-Write) agrees exactly, cost and
+//! image, with a straightforward reference pricer kept in this file.
 
 use comet_data::{DataPolicy, DataWriteModel, LineCodec, PayloadSpec, TransitionCostModel};
 use memsim::{LineData, WritePricer};
@@ -57,6 +59,223 @@ fn symmetric_slc_table() -> opcm_phys::ProgramTable {
             fraction: 0.0,
         },
         spacing: 0.9,
+    }
+}
+
+/// The straightforward pricer the crate's fast path must agree with: the
+/// bitstream codec walk, the per-cell transition formula evaluated from the
+/// programming table on every call, and per-word pricing that walks each
+/// Flip-N-Write word once per flip option.
+mod reference {
+    use comet_data::DataPolicy;
+    use comet_units::{Energy, Time};
+    use memsim::{PricedWrite, WriteCost};
+    use opcm_phys::{CellThermalModel, ProgramMode, ProgramTable};
+
+    /// Walks the line one bit at a time, MSB first, and Gray-codes each
+    /// `bits`-wide chunk (the final chunk zero-padded).
+    pub fn encode(bits: u8, data: &[u8]) -> Vec<u8> {
+        let b = bits as usize;
+        let total = data.len() * 8;
+        let mut levels = Vec::new();
+        let mut bit = 0;
+        while bit < total {
+            let mut chunk = 0u8;
+            for k in 0..b {
+                chunk <<= 1;
+                let i = bit + k;
+                if i < total {
+                    chunk |= (data[i / 8] >> (7 - i % 8)) & 1;
+                }
+            }
+            levels.push(chunk ^ (chunk >> 1));
+            bit += b;
+        }
+        levels
+    }
+
+    /// `(energy, latency)` of one pulse sequence.
+    type Price = (Energy, Time);
+
+    /// Prices from the COMET GST amorphous-reset table.
+    pub struct Pricer {
+        bits: u8,
+        program: Vec<Price>,
+        reset: Price,
+        read: Price,
+        policy: DataPolicy,
+    }
+
+    impl Pricer {
+        pub fn gst(bits: u8, policy: DataPolicy) -> Self {
+            let table = ProgramTable::generate(
+                &CellThermalModel::comet_gst(),
+                ProgramMode::AmorphousReset,
+                bits,
+            )
+            .expect("the COMET GST cell hosts up to 4 bits/cell");
+            Pricer {
+                bits,
+                program: table
+                    .levels
+                    .iter()
+                    .map(|l| (l.energy(), l.latency()))
+                    .collect(),
+                reset: (table.reset.energy(), table.reset.pulse.duration),
+                read: (Energy::from_picojoules(1.0), Time::from_nanos(10.0)),
+                policy,
+            }
+        }
+
+        fn levels(&self) -> u8 {
+            self.program.len() as u8
+        }
+
+        fn oblivious(&self, new: u8) -> Price {
+            let p = self.program[new as usize];
+            (self.reset.0 + p.0, self.reset.1 + p.1)
+        }
+
+        fn transition(&self, old: u8, new: u8) -> Price {
+            if old == new {
+                return (Energy::ZERO, Time::ZERO);
+            }
+            let via_reset = self.oblivious(new);
+            if new >= old {
+                let (a, b) = (self.program[old as usize], self.program[new as usize]);
+                let direct = ((b.0 - a.0).max(Energy::ZERO), (b.1 - a.1).max(Time::ZERO));
+                if direct.0 <= via_reset.0 {
+                    return direct;
+                }
+            }
+            via_reset
+        }
+
+        fn flip_level(&self, level: u8) -> u8 {
+            let mask = (1u16 << self.bits) as u8 - 1;
+            level ^ (mask & !(mask >> 1))
+        }
+
+        fn word_price(
+            &self,
+            old: &[u8],
+            target: &[u8],
+            flip: bool,
+            old_flip: bool,
+        ) -> (u64, Price) {
+            let mut cells = 0u64;
+            let (mut energy, mut latency) = (Energy::ZERO, Time::ZERO);
+            for (&o, &t) in old.iter().zip(target) {
+                let t = if flip { self.flip_level(t) } else { t };
+                if o != t {
+                    let p = self.transition(o, t);
+                    cells += 1;
+                    energy += p.0;
+                    latency = latency.max(p.1);
+                }
+            }
+            if flip != old_flip {
+                let deepest = self.levels() - 1;
+                let p = if old_flip {
+                    self.transition(deepest, 0)
+                } else {
+                    self.transition(0, deepest)
+                };
+                cells += 1;
+                energy += p.0;
+                latency = latency.max(p.1);
+            }
+            (cells, (energy, latency))
+        }
+
+        pub fn price_write(&self, stored: Option<&[u8]>, data: &[u8]) -> PricedWrite {
+            let new = encode(self.bits, data);
+            let cells = new.len();
+            if self.policy == DataPolicy::Oblivious {
+                let (mut energy, mut latency) = (Energy::ZERO, Time::ZERO);
+                for &l in &new {
+                    let p = self.oblivious(l);
+                    energy += p.0;
+                    latency = latency.max(p.1);
+                }
+                return PricedWrite {
+                    cost: WriteCost {
+                        energy,
+                        latency,
+                        cells_written: cells as u64,
+                        cells_total: cells as u64,
+                    },
+                    image: None,
+                };
+            }
+            let mut energy = self.read.0 * cells as f64;
+            let mut pulse = Time::ZERO;
+            let mut written = 0u64;
+            let image = stored.unwrap_or(&[]);
+            let (old_levels, old_flips) = image.split_at(cells.min(image.len()));
+            let word = (32 / self.bits as usize).max(1);
+            let words = cells.div_ceil(word);
+            let mut levels = vec![0u8; cells];
+            let mut flips = vec![0u8; words];
+            for (w, slot) in flips.iter_mut().enumerate() {
+                let span = (w * word)..((w * word + word).min(cells));
+                let old: Vec<u8> = span
+                    .clone()
+                    .map(|c| old_levels.get(c).copied().unwrap_or(0))
+                    .collect();
+                let target = &new[span.clone()];
+                let old_flip = old_flips.get(w).copied().unwrap_or(0) != 0;
+                let keep = self.word_price(&old, target, old_flip, old_flip);
+                let (chosen, price, flip) = if self.policy == DataPolicy::DcwFnw {
+                    let toggle = self.word_price(&old, target, !old_flip, old_flip);
+                    if toggle.0 <= keep.0 && toggle.1 .0 + self.reset.0 <= keep.1 .0 {
+                        (toggle.0, toggle.1, !old_flip)
+                    } else {
+                        (keep.0, keep.1, old_flip)
+                    }
+                } else {
+                    (keep.0, keep.1, old_flip)
+                };
+                written += chosen;
+                energy += price.0;
+                pulse = pulse.max(price.1);
+                for (i, c) in span.enumerate() {
+                    levels[c] = if flip {
+                        self.flip_level(target[i])
+                    } else {
+                        target[i]
+                    };
+                }
+                *slot = flip as u8;
+            }
+            levels.extend_from_slice(&flips);
+            PricedWrite {
+                cost: WriteCost {
+                    energy,
+                    latency: self.read.1 + pulse,
+                    cells_written: written,
+                    cells_total: cells as u64,
+                },
+                image: Some(levels),
+            }
+        }
+    }
+}
+
+/// One step of a write sequence: a fresh payload, the complement of the
+/// previous one, or the previous one with a few bytes replaced.
+fn next_payload(prev: &[u8], kind: u8, fresh: &[u8]) -> Vec<u8> {
+    match kind {
+        0 => fresh.to_vec(),
+        1 => prev.iter().map(|b| !b).collect(),
+        _ => {
+            let mut line = prev.to_vec();
+            for (i, &b) in fresh.iter().enumerate().take(4) {
+                let at = (b as usize * 7 + i) % line.len();
+                line[at] = b;
+            }
+            line
+        }
     }
 }
 
@@ -201,6 +420,41 @@ proptest! {
                 prop_assert_eq!(la, b.next_line(address, line_bytes), "{}", spec);
                 prop_assert_eq!(la.len() as u64, line_bytes);
             }
+        }
+    }
+
+    // --- fast path against the reference ---------------------------------------
+
+    #[test]
+    fn encode_matches_the_bitstream_walk(data in any_line(), bits in 1u8..=6) {
+        prop_assert_eq!(LineCodec::new(bits).encode(&data), reference::encode(bits, &data));
+    }
+
+    #[test]
+    fn pricing_matches_the_reference_over_write_sequences(
+        bits in 1u8..=4,
+        policy in prop_oneof![
+            Just(DataPolicy::Oblivious),
+            Just(DataPolicy::Dcw),
+            Just(DataPolicy::DcwFnw),
+        ],
+        first in any_line(),
+        steps in proptest::collection::vec((0u8..3, any_line()), 1..6),
+    ) {
+        // Lengths vary along the sequence, so stored images are sometimes
+        // shorter or longer than the new line's cells.
+        let fast = model(bits, policy);
+        let slow = reference::Pricer::gst(bits, policy);
+        let mut payload = first;
+        let mut image: Option<Vec<u8>> = None;
+        for (step, (kind, fresh)) in steps.iter().enumerate() {
+            if step > 0 {
+                payload = next_payload(&payload, *kind, fresh);
+            }
+            let want = slow.price_write(image.as_deref(), &payload);
+            let got = fast.price_write(image.as_deref(), &LineData::from_bytes(&payload));
+            prop_assert_eq!(&got, &want, "bits {} {} step {}", bits, policy, step);
+            image = got.image;
         }
     }
 }

@@ -10,7 +10,9 @@ use comet_lab::{
 };
 use comet_serve::{ArrivalProcess, BatchConfig, ServeSpec, TenantSpec};
 use comet_units::{ByteCount, Time};
-use memsim::{DeviceFactory, MemOp, MemRequest, ReplayMode, Scheduler};
+use memsim::{
+    AccessPattern, DeviceFactory, MemOp, MemRequest, ReplayMode, Scheduler, WorkloadProfile,
+};
 
 /// The ISSUE acceptance grid: ≥ 12 cells over ≥ 2 device models. Four
 /// devices (two electronic, two photonic) × four SPEC-like workloads.
@@ -319,5 +321,69 @@ fn demand_paths_report_pinned_bytes() {
     assert_eq!(
         format!("{:016x}", fnv1a64(json.as_bytes())),
         "9359f9e351fd8f5e"
+    );
+}
+
+/// Pins the exact output of the data plane: the three content-priced EPCM
+/// devices (oblivious, DCW, DCW+Flip-N-Write) serving four write-heavy
+/// tenants whose stores carry uniform, sparse-update, complement-toggling
+/// and transformer-weight payloads over one small footprint, so most
+/// writes land on a line that already holds an image. Arrivals are
+/// deterministic.
+///
+/// Any change to the codec, the transition prices, the policies' per-word
+/// decisions or the line store moves the digest.
+#[test]
+fn data_plane_report_pinned_bytes() {
+    let devices: Vec<Box<dyn DeviceFactory>> = ["EPCM-oblivious", "EPCM-DCW", "EPCM-DCW-FNW"]
+        .iter()
+        .map(|n| device_by_name(n).expect("registered"))
+        .collect();
+    let profile = WorkloadProfile {
+        name: "rewrites".into(),
+        read_fraction: 0.25,
+        footprint: ByteCount::new(32 * 1024),
+        pattern: AccessPattern::Clustered { locality: 0.5 },
+        interarrival: Time::from_nanos(1.0),
+        requests: 500,
+        line_bytes: 64,
+    };
+    let tenant = |name: &str, payload: PayloadSpec| {
+        TenantSpec::open(name, ArrivalProcess::deterministic(5.0e6), 500).with_payload(payload)
+    };
+    let serve = ServeSpec {
+        tenants: vec![
+            tenant("uniform", PayloadSpec::Uniform),
+            tenant(
+                "sparse",
+                PayloadSpec::SparseUpdate {
+                    flip_fraction: 0.05,
+                },
+            ),
+            tenant("toggle", PayloadSpec::ToggleWords),
+            tenant(
+                "weights",
+                PayloadSpec::transformer(&dota::TransformerWorkload::deit_base()),
+            ),
+        ],
+        scheduler: Scheduler::default(),
+        shards: 1,
+        batch: Some(BatchConfig::default()),
+    };
+    let mut spec = CampaignSpec::new(
+        "data-plane-pin",
+        5,
+        devices,
+        vec![WorkloadSource::Profile(profile)],
+    );
+    spec.engines = vec![EnginePoint::serve("serve-payloads", serve)];
+    let report = run_campaign(&spec, 2);
+    assert_eq!(report.cells.len(), 3);
+    let energy = |c: usize| report.cells[c].stats.energy.total();
+    assert!(energy(2) < energy(1) && energy(1) < energy(0));
+    let json = report.to_json();
+    assert_eq!(
+        format!("{:016x}", fnv1a64(json.as_bytes())),
+        "afb395f24133a46a"
     );
 }

@@ -19,6 +19,7 @@ use crate::device::{AccessTiming, DeviceFactory, MemoryDevice, Topology};
 use crate::request::MemOp;
 use comet_units::{Energy, Power, Time};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// EPCM configuration.
@@ -218,21 +219,30 @@ impl MemoryDevice for EpcmDevice {
         let key = (loc.channel, loc.bank, loc.row, loc.column);
         let cost = match data {
             Some(line) => {
-                let priced = plane
-                    .pricer
-                    .price_write(plane.store.get(&key).map(Vec::as_slice), line);
-                match priced.image {
-                    Some(image) => {
-                        plane.store.insert(key, image);
+                // One lookup reads the line's image and stores its successor.
+                let cost = match plane.store.entry(key) {
+                    Entry::Occupied(mut slot) => {
+                        let priced = plane.pricer.price_write(Some(slot.get()), line);
+                        match priced.image {
+                            Some(image) => *slot.get_mut() = image,
+                            None => {
+                                slot.remove();
+                            }
+                        }
+                        priced.cost
                     }
-                    None => {
-                        plane.store.remove(&key);
+                    Entry::Vacant(slot) => {
+                        let priced = plane.pricer.price_write(None, line);
+                        if let Some(image) = priced.image {
+                            slot.insert(image);
+                        }
+                        priced.cost
                     }
-                }
+                };
                 plane.stats.priced_writes += 1;
-                plane.stats.cells_written += priced.cost.cells_written;
-                plane.stats.cells_total += priced.cost.cells_total;
-                priced.cost
+                plane.stats.cells_written += cost.cells_written;
+                plane.stats.cells_total += cost.cells_total;
+                cost
             }
             None => {
                 // Unknown content: worst-case price, and the stored image

@@ -16,12 +16,12 @@
 //! the optics), then the pulse duration that reaches that fraction
 //! (bisection/scan on the transient simulation).
 
-use crate::thermal::{CellState, CellThermalModel, PulseSpec};
+use crate::thermal::{CellState, CellThermalModel, HeatingRun, PulseSpec};
 use comet_units::{Energy, Power, Time, Transmittance};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Transmittance added above the fully crystalline state before placing
 /// the deepest level (the programming guard band — see
@@ -30,6 +30,12 @@ pub const CRYSTALLINE_GUARD: f64 = 0.04;
 
 /// The floor under the deepest level's transmittance.
 pub const LEVEL_TRANSMITTANCE_FLOOR: f64 = 0.05;
+
+/// The longest level-write pulse the amorphous-reset search tries, ns.
+const AMORPHOUS_LEVEL_CEILING_NS: f64 = 3000.0;
+
+/// The longest level-write pulse the crystalline-reset search tries, ns.
+const CRYSTALLINE_LEVEL_CEILING_NS: f64 = 500.0;
 
 /// Which state the cell is erased to before level writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -177,11 +183,15 @@ pub struct ProgramTable {
 /// Cache key: (model fingerprint, mode, bits).
 type TableKey = (u64, ProgramMode, u8);
 
+/// One memo slot: filled once by the first caller, which every other
+/// caller of the same key waits for.
+type TableSlot = Arc<OnceLock<Result<ProgramTable, GenerateTableError>>>;
+
 /// The process-wide memo of generated tables. Tables are small (≤ 64
 /// levels of plain scalars), so the cache never needs eviction — a process
 /// touches a handful of models.
-fn table_cache() -> &'static Mutex<HashMap<TableKey, ProgramTable>> {
-    static CACHE: OnceLock<Mutex<HashMap<TableKey, ProgramTable>>> = OnceLock::new();
+fn table_cache() -> &'static Mutex<HashMap<TableKey, TableSlot>> {
+    static CACHE: OnceLock<Mutex<HashMap<TableKey, TableSlot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -203,10 +213,13 @@ impl ProgramTable {
     /// Generates a table by inverting `model` for `2^bits` equally spaced
     /// transmission levels.
     ///
-    /// The pulse search behind a table costs tens of milliseconds (hundreds
-    /// of transient thermal simulations — the workspace's slowest kernel),
-    /// so successful generations are memoized process-wide: repeated calls
-    /// with an identical model return a clone of the cached table. Use
+    /// The pulse search behind a table costs a few milliseconds (one
+    /// shared heating run plus a few hundred cool-down simulations — still
+    /// the workspace's slowest kernel), so generations are memoized
+    /// process-wide: repeated calls with an identical model return a clone
+    /// of the cached table (or error). Each key is generated once: threads
+    /// that ask for a key while it is being generated wait for that result
+    /// instead of repeating the search. Use
     /// [`ProgramTable::generate_uncached`] to force the full search.
     ///
     /// # Errors
@@ -220,20 +233,26 @@ impl ProgramTable {
     ) -> Result<ProgramTable, GenerateTableError> {
         assert!((1..=6).contains(&bits), "bits per cell must be in 1..=6");
         let key = (model_fingerprint(model), mode, bits);
-        if let Some(table) = table_cache().lock().expect("cache lock").get(&key) {
-            return Ok(table.clone());
-        }
-        let table = Self::generate_uncached(model, mode, bits)?;
-        table_cache()
-            .lock()
-            .expect("cache lock")
-            .insert(key, table.clone());
-        Ok(table)
+        // Hold the map lock only to find the slot, not while generating.
+        let slot = Arc::clone(
+            table_cache()
+                .lock()
+                .expect("cache lock")
+                .entry(key)
+                .or_default(),
+        );
+        slot.get_or_init(|| Self::generate_uncached(model, mode, bits))
+            .clone()
     }
 
     /// The number of memoized tables (diagnostics/tests).
     pub fn cached_tables() -> usize {
-        table_cache().lock().expect("cache lock").len()
+        table_cache()
+            .lock()
+            .expect("cache lock")
+            .values()
+            .filter(|slot| matches!(slot.get(), Some(Ok(_))))
+            .count()
     }
 
     /// The usable transmittance range `(t_min, t_max)` level grids are
@@ -259,7 +278,10 @@ impl ProgramTable {
     }
 
     /// [`ProgramTable::generate`] without the memo: always runs the full
-    /// pulse search (the criterion benches compare the two).
+    /// pulse search. Each level's duration is bisected on cool-down
+    /// simulations from one shared heating run (see
+    /// [`CellThermalModel::apply_pulse`] for the model), which gives the
+    /// same table, bit for bit, as simulating every probe pulse in full.
     ///
     /// # Errors
     ///
@@ -290,13 +312,23 @@ impl ProgramTable {
 
         let reset = Self::solve_reset(model, mode);
 
+        // Every level's pulse search probes durations from the same reset
+        // state at the same power, so the levels share one heating run.
+        let (start, ceiling) = match mode {
+            ProgramMode::AmorphousReset => (CellState::amorphous(), AMORPHOUS_LEVEL_CEILING_NS),
+            ProgramMode::CrystallineReset => {
+                (CellState::crystalline(), CRYSTALLINE_LEVEL_CEILING_NS)
+            }
+        };
+        let heating = HeatingRun::new(model, start, mode.write_power(), Time::from_nanos(ceiling));
+
         let mut levels = Vec::with_capacity(n_levels as usize);
         for k in 0..n_levels {
             let target_t = Transmittance::new(t_max - spacing * k as f64);
             let fraction = optics
                 .fraction_for_transmittance(target_t, lambda)
                 .unwrap_or(if k == 0 { 0.0 } else { 1.0 });
-            let pulse = Self::solve_level_pulse(model, mode, fraction).ok_or(
+            let pulse = Self::solve_level_pulse(&heating, mode, fraction).ok_or(
                 GenerateTableError::Unreachable {
                     level: k as u8,
                     target: fraction,
@@ -355,17 +387,21 @@ impl ProgramTable {
                 // Crystallization is monotone in duration: bisect for the
                 // slowest start (fully amorphous).
                 let target = 0.98;
+                let ceiling = 4000.0;
+                let heating = HeatingRun::new(
+                    model,
+                    CellState::amorphous(),
+                    power,
+                    Time::from_nanos(ceiling),
+                );
                 let reaches = |d: f64| {
-                    model
-                        .apply_pulse(
-                            CellState::amorphous(),
-                            PulseSpec::new(power, Time::from_nanos(d)),
-                        )
+                    heating
+                        .apply(Time::from_nanos(d))
                         .state
                         .crystalline_fraction
                         >= target
                 };
-                let (mut lo, mut hi) = (50.0, 4000.0);
+                let (mut lo, mut hi) = (50.0, ceiling);
                 if !reaches(hi) {
                     return ResetSpec {
                         pulse: PulseSpec::new(power, Time::from_nanos(hi)),
@@ -389,29 +425,28 @@ impl ProgramTable {
     }
 
     /// Finds the pulse programming crystalline fraction `target` from the
-    /// reset state of `mode`. Returns `None` if unreachable.
+    /// reset state of `mode`, probing durations on `heating` (that state at
+    /// the mode's write power, up to the mode's level ceiling). Returns
+    /// `None` if unreachable.
     fn solve_level_pulse(
-        model: &CellThermalModel,
+        heating: &HeatingRun<'_>,
         mode: ProgramMode,
         target: f64,
     ) -> Option<PulseSpec> {
         let power = mode.write_power();
+        let result_at = |d: f64| {
+            heating
+                .apply(Time::from_nanos(d))
+                .state
+                .crystalline_fraction
+        };
         match mode {
             ProgramMode::AmorphousReset => {
                 // From p=0, fraction grows monotonically with duration.
                 if target <= 1e-3 {
                     return Some(PulseSpec::new(power, Time::ZERO));
                 }
-                let result_at = |d: f64| {
-                    model
-                        .apply_pulse(
-                            CellState::amorphous(),
-                            PulseSpec::new(power, Time::from_nanos(d)),
-                        )
-                        .state
-                        .crystalline_fraction
-                };
-                let hi_limit = 3000.0;
+                let hi_limit = AMORPHOUS_LEVEL_CEILING_NS;
                 if result_at(hi_limit) < target {
                     return None;
                 }
@@ -432,16 +467,7 @@ impl ProgramTable {
                 if target >= 1.0 - 1e-3 {
                     return Some(PulseSpec::new(power, Time::ZERO));
                 }
-                let result_at = |d: f64| {
-                    model
-                        .apply_pulse(
-                            CellState::crystalline(),
-                            PulseSpec::new(power, Time::from_nanos(d)),
-                        )
-                        .state
-                        .crystalline_fraction
-                };
-                let hi_limit = 500.0;
+                let hi_limit = CRYSTALLINE_LEVEL_CEILING_NS;
                 if result_at(hi_limit) > target {
                     return None;
                 }
@@ -670,6 +696,85 @@ mod tests {
         let direct =
             ProgramTable::generate_uncached(&warm, ProgramMode::AmorphousReset, 1).expect("warm");
         assert_eq!(cached, direct);
+    }
+
+    /// FNV-1a (64-bit) over the bit patterns of every float a table holds.
+    fn table_digest(t: &ProgramTable) -> u64 {
+        let mut words = vec![t.spacing.to_bits()];
+        for pulse in [t.reset.pulse]
+            .iter()
+            .chain(t.levels.iter().map(|l| &l.pulse))
+        {
+            words.push(pulse.duration.as_seconds().to_bits());
+            words.push(pulse.power.as_watts().to_bits());
+        }
+        words.push(t.reset.fraction.to_bits());
+        for l in &t.levels {
+            words.push(l.crystalline_fraction.to_bits());
+            words.push(l.transmittance.value().to_bits());
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn generated_tables_are_pinned_bit_for_bit() {
+        // Any change to the pulse search, the thermal integrator or the
+        // optics inversion that moves a single bit of a table moves these.
+        let cases = [
+            (ProgramMode::AmorphousReset, 1, 0xf318_8aa5_e748_fa0e_u64),
+            (ProgramMode::AmorphousReset, 2, 0xd2b6_4ce6_e193_c6c4),
+            (ProgramMode::AmorphousReset, 3, 0xfe64_cd58_eb30_7355),
+            (ProgramMode::AmorphousReset, 4, 0xcaf2_dcf7_bfd5_8f20),
+            (ProgramMode::CrystallineReset, 4, 0x6f24_ffb1_209b_561e),
+        ];
+        let got: Vec<String> = cases
+            .iter()
+            .map(|&(mode, bits, _)| {
+                let t = ProgramTable::generate_uncached(model(), mode, bits).expect("generate");
+                format!("{mode} {bits}: {:016x}", table_digest(&t))
+            })
+            .collect();
+        let want: Vec<String> = cases
+            .iter()
+            .map(|&(mode, bits, digest)| format!("{mode} {bits}: {digest:016x}"))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn concurrent_misses_get_one_table() {
+        // Threads that miss on the same key at once all get the one table
+        // the memo slot holds, and the memo gains that entry.
+        let base = model();
+        let mut params = *base.params();
+        params.sink_conductance *= 1.01;
+        let cooler = CellThermalModel::new(base.optics().clone(), params, base.wavelength());
+        let before = ProgramTable::cached_tables();
+        let start = std::sync::Barrier::new(3);
+        let tables: Vec<ProgramTable> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        ProgramTable::generate(&cooler, ProgramMode::AmorphousReset, 2)
+                            .expect("generate")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("generating thread panicked"))
+                .collect()
+        });
+        let direct =
+            ProgramTable::generate_uncached(&cooler, ProgramMode::AmorphousReset, 2).expect("gen");
+        assert!(tables.iter().all(|t| *t == direct));
+        assert!(ProgramTable::cached_tables() > before);
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl CellThermalModel {
 
     /// Applies one programming pulse (plus quench) to a cell state.
     pub fn apply_pulse(&self, state: CellState, pulse: PulseSpec) -> PulseOutcome {
-        self.simulate(state, pulse, None)
+        self.simulate(state, pulse, &mut None)
     }
 
     /// Like [`apply_pulse`](Self::apply_pulse) but records a time trace
@@ -312,126 +312,28 @@ impl CellThermalModel {
         sample_every: usize,
         trace: &mut Vec<TraceSample>,
     ) -> PulseOutcome {
-        self.simulate(state, pulse, Some((sample_every.max(1), trace)))
+        self.simulate(state, pulse, &mut Some((sample_every.max(1), trace)))
+    }
+
+    /// Integration steps a pulse of `duration` heats for.
+    fn pulse_steps(&self, duration: Time) -> usize {
+        (duration.as_seconds() / self.params.time_step.as_seconds()).ceil() as usize
     }
 
     fn simulate(
         &self,
         state: CellState,
         pulse: PulseSpec,
-        mut trace: Option<(usize, &mut Vec<TraceSample>)>,
+        trace: &mut Option<(usize, &mut Vec<TraceSample>)>,
     ) -> PulseOutcome {
-        let th = self.optics.material.thermal;
-        let t_melt = th.melting_point.as_kelvin();
-        let t_onset = th.crystallization_onset.as_kelvin();
-        let ambient = self.params.ambient.as_kelvin();
-        let g = self.params.sink_conductance;
-        let c = self.heat_capacity;
-        let dt = self.params.time_step.as_seconds();
-        let p_in = pulse.power.as_watts();
-        let assist = pulse.power >= self.params.write_assist_threshold;
-
-        // p: crystalline fraction of the *unmelted* portion; mu: melt fraction.
-        let mut p = state.crystalline_fraction;
-        let mut mu = 0.0f64;
-        let mut temp = state.temperature.as_kelvin();
-        let mut peak_t = temp;
-        let mut peak_mu: f64 = 0.0;
-        let mut absorbed = 0.0f64;
-        let mut melted = false;
-
-        let pulse_steps = (pulse.duration.as_seconds() / dt).ceil() as usize;
-        // Cool-down budget: several time constants, capped.
-        let cooldown_steps =
-            ((8.0 * self.time_constant().as_seconds() / dt).ceil() as usize).min(200_000);
-
-        for step in 0..(pulse_steps + cooldown_steps) {
-            let heating = step < pulse_steps;
-
-            // Effective fraction for optics: molten material absorbs like
-            // the crystalline phase.
-            let q = p * (1.0 - mu) + mu;
-            let source = if heating {
-                let mut a = self.absorptance(q);
-                if assist {
-                    a = a.max(self.params.write_assist_floor);
-                }
-                absorbed += p_in * a * dt;
-                p_in * a
-            } else {
-                0.0
-            };
-
-            let net = source - g * (temp - ambient);
-
-            if temp >= t_melt && net > 0.0 {
-                // Plateau: excess power converts material to melt.
-                if mu < 1.0 {
-                    mu = (mu + net * dt / self.melt_enthalpy).min(1.0);
-                    melted = true;
-                } else {
-                    // Fully molten: superheat the liquid.
-                    temp += net * dt / c;
-                }
-            } else {
-                temp += net * dt / c;
-                if temp >= t_melt && mu < 1.0 {
-                    // Crossed the melting point this step: clamp, start melting.
-                    let overshoot = (temp - t_melt) * c;
-                    temp = t_melt;
-                    mu = (mu + overshoot / self.melt_enthalpy).min(1.0);
-                    melted = true;
-                }
-            }
-
-            // Crystallization kinetics of the unmelted portion. During
-            // cool-down, freshly melt-quenched material is nucleation-limited
-            // and does not re-crystallize; the (1-mu) weighting handles the
-            // still-molten part, and we additionally freeze kinetics once
-            // cooling if melting happened (critical quench rate satisfied).
-            if !melted || heating {
-                let rate = self.crystallization_rate(Temperature::from_kelvin(temp));
-                if rate > 0.0 {
-                    p += rate * (1.0 - p) * dt;
-                    if p > 1.0 {
-                        p = 1.0;
-                    }
-                }
-            }
-
-            peak_t = peak_t.max(temp);
-            peak_mu = peak_mu.max(mu);
-
-            if let Some((every, ref mut samples)) = trace {
-                if step % every == 0 {
-                    samples.push(TraceSample {
-                        time: Time::from_seconds(step as f64 * dt),
-                        temperature: Temperature::from_kelvin(temp),
-                        crystalline_fraction: p,
-                        melt_fraction: mu,
-                    });
-                }
-            }
-
-            // Early exit once quenched well below the kinetics window.
-            if !heating && temp < t_onset - 20.0 {
-                break;
-            }
+        let run = Integrator::new(self, pulse.power);
+        let mut node = run.start(state);
+        let pulse_steps = self.pulse_steps(pulse.duration);
+        for step in 0..pulse_steps {
+            run.step(&mut node, true);
+            run.record(trace, step, &node);
         }
-
-        // Quench: molten material re-solidifies amorphous.
-        let final_p = p * (1.0 - mu);
-
-        PulseOutcome {
-            state: CellState {
-                crystalline_fraction: final_p,
-                temperature: Temperature::from_kelvin(temp.max(ambient)),
-            },
-            peak_temperature: Temperature::from_kelvin(peak_t),
-            absorbed_energy: Energy::from_joules(absorbed),
-            peak_melt_fraction: peak_mu,
-            melted,
-        }
+        run.cool_down(node, pulse_steps, trace)
     }
 
     /// Steady-state node temperature for a given absorbed power.
@@ -454,6 +356,219 @@ impl CellThermalModel {
             });
         self.steady_state_temperature(Power::from_watts(power.as_watts() * worst))
             >= self.optics.material.thermal.melting_point
+    }
+}
+
+/// The integrator's running state: everything one time step reads or
+/// writes.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Crystalline fraction of the *unmelted* portion.
+    p: f64,
+    /// Melt fraction.
+    mu: f64,
+    /// Node temperature, K.
+    temp: f64,
+    peak_t: f64,
+    peak_mu: f64,
+    /// Absorbed optical energy so far, J.
+    absorbed: f64,
+    melted: bool,
+}
+
+/// One pulse power's integration constants, hoisted out of the step loop.
+struct Integrator<'m> {
+    model: &'m CellThermalModel,
+    t_melt: f64,
+    t_onset: f64,
+    ambient: f64,
+    g: f64,
+    c: f64,
+    dt: f64,
+    p_in: f64,
+    assist: bool,
+    /// Cool-down budget: several time constants, capped.
+    cooldown_steps: usize,
+}
+
+impl<'m> Integrator<'m> {
+    fn new(model: &'m CellThermalModel, power: Power) -> Self {
+        let th = model.optics.material.thermal;
+        let dt = model.params.time_step.as_seconds();
+        Integrator {
+            model,
+            t_melt: th.melting_point.as_kelvin(),
+            t_onset: th.crystallization_onset.as_kelvin(),
+            ambient: model.params.ambient.as_kelvin(),
+            g: model.params.sink_conductance,
+            c: model.heat_capacity,
+            dt,
+            p_in: power.as_watts(),
+            assist: power >= model.params.write_assist_threshold,
+            cooldown_steps: ((8.0 * model.time_constant().as_seconds() / dt).ceil() as usize)
+                .min(200_000),
+        }
+    }
+
+    fn start(&self, state: CellState) -> Node {
+        let temp = state.temperature.as_kelvin();
+        Node {
+            p: state.crystalline_fraction,
+            mu: 0.0,
+            temp,
+            peak_t: temp,
+            peak_mu: 0.0,
+            absorbed: 0.0,
+            melted: false,
+        }
+    }
+
+    /// Advances `n` by one time step, with the pulse on (`heating`) or off.
+    fn step(&self, n: &mut Node, heating: bool) {
+        let dt = self.dt;
+        // Effective fraction for optics: molten material absorbs like
+        // the crystalline phase.
+        let q = n.p * (1.0 - n.mu) + n.mu;
+        let source = if heating {
+            let mut a = self.model.absorptance(q);
+            if self.assist {
+                a = a.max(self.model.params.write_assist_floor);
+            }
+            n.absorbed += self.p_in * a * dt;
+            self.p_in * a
+        } else {
+            0.0
+        };
+
+        let net = source - self.g * (n.temp - self.ambient);
+
+        if n.temp >= self.t_melt && net > 0.0 {
+            // Plateau: excess power converts material to melt.
+            if n.mu < 1.0 {
+                n.mu = (n.mu + net * dt / self.model.melt_enthalpy).min(1.0);
+                n.melted = true;
+            } else {
+                // Fully molten: superheat the liquid.
+                n.temp += net * dt / self.c;
+            }
+        } else {
+            n.temp += net * dt / self.c;
+            if n.temp >= self.t_melt && n.mu < 1.0 {
+                // Crossed the melting point this step: clamp, start melting.
+                let overshoot = (n.temp - self.t_melt) * self.c;
+                n.temp = self.t_melt;
+                n.mu = (n.mu + overshoot / self.model.melt_enthalpy).min(1.0);
+                n.melted = true;
+            }
+        }
+
+        // Crystallization kinetics of the unmelted portion. During
+        // cool-down, freshly melt-quenched material is nucleation-limited
+        // and does not re-crystallize; the (1-mu) weighting handles the
+        // still-molten part, and we additionally freeze kinetics once
+        // cooling if melting happened (critical quench rate satisfied).
+        if !n.melted || heating {
+            let rate = self
+                .model
+                .crystallization_rate(Temperature::from_kelvin(n.temp));
+            if rate > 0.0 {
+                n.p += rate * (1.0 - n.p) * dt;
+                if n.p > 1.0 {
+                    n.p = 1.0;
+                }
+            }
+        }
+
+        n.peak_t = n.peak_t.max(n.temp);
+        n.peak_mu = n.peak_mu.max(n.mu);
+    }
+
+    /// Appends step `step`'s sample to a trace, if one is kept.
+    fn record(&self, trace: &mut Option<(usize, &mut Vec<TraceSample>)>, step: usize, n: &Node) {
+        if let Some((every, samples)) = trace {
+            if step % *every == 0 {
+                samples.push(TraceSample {
+                    time: Time::from_seconds(step as f64 * self.dt),
+                    temperature: Temperature::from_kelvin(n.temp),
+                    crystalline_fraction: n.p,
+                    melt_fraction: n.mu,
+                });
+            }
+        }
+    }
+
+    /// Runs the cool-down that follows `pulse_steps` heating steps, then
+    /// quenches: molten material re-solidifies amorphous.
+    fn cool_down(
+        &self,
+        mut n: Node,
+        pulse_steps: usize,
+        trace: &mut Option<(usize, &mut Vec<TraceSample>)>,
+    ) -> PulseOutcome {
+        for step in pulse_steps..(pulse_steps + self.cooldown_steps) {
+            self.step(&mut n, false);
+            self.record(trace, step, &n);
+            // Early exit once quenched well below the kinetics window.
+            if n.temp < self.t_onset - 20.0 {
+                break;
+            }
+        }
+        PulseOutcome {
+            state: CellState {
+                crystalline_fraction: n.p * (1.0 - n.mu),
+                temperature: Temperature::from_kelvin(n.temp.max(self.ambient)),
+            },
+            peak_temperature: Temperature::from_kelvin(n.peak_t),
+            absorbed_energy: Energy::from_joules(n.absorbed),
+            peak_melt_fraction: n.peak_mu,
+            melted: n.melted,
+        }
+    }
+}
+
+/// The heating phase of every pulse at one power from one start state, up
+/// to a ceiling duration, kept at every integration step.
+///
+/// Heating never reads the pulse length, so a pulse of any duration up to
+/// the ceiling is its saved heating state plus its own cool-down:
+/// [`HeatingRun::apply`] returns exactly what
+/// [`CellThermalModel::apply_pulse`] does, at the cost of the cool-down
+/// alone. Pulse-duration searches that probe many durations from the same
+/// state share one run.
+pub(crate) struct HeatingRun<'m> {
+    run: Integrator<'m>,
+    /// `nodes[k]`: the state after `k` heating steps.
+    nodes: Vec<Node>,
+}
+
+impl<'m> HeatingRun<'m> {
+    /// Heats `start` at `power` for `ceiling`.
+    pub(crate) fn new(
+        model: &'m CellThermalModel,
+        start: CellState,
+        power: Power,
+        ceiling: Time,
+    ) -> Self {
+        let run = Integrator::new(model, power);
+        let steps = model.pulse_steps(ceiling);
+        let mut nodes = Vec::with_capacity(steps + 1);
+        let mut node = run.start(start);
+        nodes.push(node);
+        for _ in 0..steps {
+            run.step(&mut node, true);
+            nodes.push(node);
+        }
+        HeatingRun { run, nodes }
+    }
+
+    /// The outcome of a pulse of `duration` from the run's start state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duration` exceeds the run's ceiling.
+    pub(crate) fn apply(&self, duration: Time) -> PulseOutcome {
+        let steps = self.run.model.pulse_steps(duration);
+        self.run.cool_down(self.nodes[steps], steps, &mut None)
     }
 }
 
@@ -631,6 +746,24 @@ mod tests {
             .fold(0.0, f64::max);
         assert!(max_t >= 873.0 - 1.0);
         assert!(trace[0].temperature.as_kelvin() < 350.0);
+    }
+
+    #[test]
+    fn shared_heating_run_matches_full_simulation() {
+        // A saved heating state plus its cool-down is the whole pulse, bit
+        // for bit, at write and reset powers, with and without melting.
+        let m = model();
+        for (start, power) in [
+            (CellState::amorphous(), mw(1.0)),
+            (CellState::crystalline(), mw(5.0)),
+            (CellState::at_fraction(0.4), mw(0.1)),
+        ] {
+            let run = HeatingRun::new(&m, start, power, ns(400.0));
+            for d in [0.0, 0.1, 7.3, 16.0, 55.55, 137.0, 399.9, 400.0] {
+                let pulse = PulseSpec::new(power, ns(d));
+                assert_eq!(run.apply(ns(d)), m.apply_pulse(start, pulse), "{d} ns");
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,18 @@
 //! Each case puts two devices from the same factory through the same
 //! random access history, then compares them after only one of the two
 //! has been polled (purity) or accessed at another bank (locality).
+//!
+//! Every registered device is also **shard invariant**: a serve run split
+//! across any number of channel shards reports exactly what the unsharded
+//! run does.
 
+use comet_data::PayloadSpec;
 use comet_lab::{device_by_name, device_names};
+use comet_serve::{run_service, ArrivalProcess, BatchConfig, ServeSpec, TenantSpec};
 use comet_units::Time;
 use memsim::{
-    AccessTiming, DecodedAddress, LineData, MemOp, MemoryDevice, Topology, MAX_LINE_BYTES,
+    spec_like_suite, AccessTiming, DecodedAddress, LineData, MemOp, MemoryDevice, Scheduler,
+    Topology, MAX_LINE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -192,6 +199,35 @@ proptest! {
                 "{}",
                 name
             );
+        }
+    }
+}
+
+#[test]
+fn every_registered_device_is_shard_invariant() {
+    // A write-rich profile, an open-loop tenant whose stores carry sparse
+    // payloads (so the data-plane devices price by content) and a
+    // closed-loop tenant, write batching on.
+    let profile = &spec_like_suite(400)[1];
+    let spec = |shards: usize| ServeSpec {
+        tenants: vec![
+            TenantSpec::open("sparse", ArrivalProcess::deterministic(2.0e7), 400)
+                .with_payload(PayloadSpec::SparseUpdate { flip_fraction: 0.1 }),
+            TenantSpec::closed("closed", 4, Time::from_nanos(30.0), 300),
+        ],
+        scheduler: Scheduler::default(),
+        shards,
+        batch: Some(BatchConfig::default()),
+    };
+    for name in device_names() {
+        let factory = device_by_name(name).expect("registered");
+        let one = run_service(factory.as_ref(), &spec(1), profile, 3, "shards");
+        assert_eq!(one.stats.completed, 700, "{name}");
+        for shards in [2usize, 4] {
+            let sharded = run_service(factory.as_ref(), &spec(shards), profile, 3, "shards");
+            assert_eq!(sharded.stats, one.stats, "{name}: shards={shards}");
+            assert_eq!(sharded.tenants, one.tenants, "{name}: shards={shards}");
+            assert_eq!(sharded.channels, one.channels, "{name}: shards={shards}");
         }
     }
 }
