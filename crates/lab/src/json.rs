@@ -262,6 +262,38 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Well-formed JSON that lacks the expected shape. Spec and report
+/// readers turn it into their own `Schema` variant with `?`.
+pub(crate) struct SchemaError(pub(crate) String);
+
+pub(crate) fn schema(m: impl Into<String>) -> SchemaError {
+    SchemaError(m.into())
+}
+
+pub(crate) fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, SchemaError> {
+    obj.get(key)
+        .ok_or_else(|| schema(format!("missing '{key}'")))
+}
+
+pub(crate) fn u64_field(obj: &Json, key: &str) -> Result<u64, SchemaError> {
+    field(obj, key)?
+        .as_u64()
+        .ok_or_else(|| schema(format!("'{key}' is not an integer")))
+}
+
+pub(crate) fn f64_field(obj: &Json, key: &str) -> Result<f64, SchemaError> {
+    field(obj, key)?
+        .as_f64()
+        .ok_or_else(|| schema(format!("'{key}' is not a number")))
+}
+
+pub(crate) fn str_field(obj: &Json, key: &str) -> Result<String, SchemaError> {
+    Ok(field(obj, key)?
+        .as_str()
+        .ok_or_else(|| schema(format!("'{key}' is not a string")))?
+        .to_string())
+}
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],

@@ -17,7 +17,7 @@
 //! Round trips are exact: `spec_to_json(&spec_from_json(text)?)`
 //! re-emits `text` byte-for-byte for any emitted spec (pinned by tests).
 
-use crate::json::{Json, JsonError};
+use crate::json::{f64_field, field, schema, str_field, u64_field, Json, JsonError, SchemaError};
 use crate::registry::{device_by_name, device_names};
 use crate::spec::{CampaignSpec, EnginePoint, WorkloadSource};
 use comet_data::PayloadSpec;
@@ -64,32 +64,10 @@ impl From<JsonError> for SpecError {
     }
 }
 
-fn schema(m: impl Into<String>) -> SpecError {
-    SpecError::Schema(m.into())
-}
-
-fn field<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, SpecError> {
-    obj.get(key)
-        .ok_or_else(|| schema(format!("missing '{key}'")))
-}
-
-fn u64_field(obj: &Json, key: &str) -> Result<u64, SpecError> {
-    field(obj, key)?
-        .as_u64()
-        .ok_or_else(|| schema(format!("'{key}' is not an integer")))
-}
-
-fn f64_field(obj: &Json, key: &str) -> Result<f64, SpecError> {
-    field(obj, key)?
-        .as_f64()
-        .ok_or_else(|| schema(format!("'{key}' is not a number")))
-}
-
-fn str_field(obj: &Json, key: &str) -> Result<String, SpecError> {
-    Ok(field(obj, key)?
-        .as_str()
-        .ok_or_else(|| schema(format!("'{key}' is not a string")))?
-        .to_string())
+impl From<SchemaError> for SpecError {
+    fn from(e: SchemaError) -> Self {
+        SpecError::Schema(e.0)
+    }
 }
 
 // --- emission ---------------------------------------------------------------
@@ -275,12 +253,12 @@ pub fn spec_to_json(spec: &CampaignSpec) -> Result<String, SpecError> {
 // --- parsing ----------------------------------------------------------------
 //
 // Spec files are untrusted input, so every value with an invariant is
-// validated here with a SpecError instead of being fed raw into the
+// validated here with a schema error instead of being fed raw into the
 // serve/memsim constructors (whose asserts would panic mid-campaign, or —
 // for enum variants built directly — silently produce garbage like
 // infinite arrival times from a zero rate).
 
-fn positive_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
+fn positive_f64(obj: &Json, key: &str) -> Result<f64, SchemaError> {
     let v = f64_field(obj, key)?;
     if v > 0.0 && v.is_finite() {
         Ok(v)
@@ -291,7 +269,7 @@ fn positive_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
     }
 }
 
-fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
+fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SchemaError> {
     let v = f64_field(obj, key)?;
     if v >= 0.0 && v.is_finite() {
         Ok(v)
@@ -302,7 +280,7 @@ fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SpecError> {
     }
 }
 
-fn pattern_from_json(j: &Json) -> Result<AccessPattern, SpecError> {
+fn pattern_from_json(j: &Json) -> Result<AccessPattern, SchemaError> {
     match str_field(j, "kind")?.as_str() {
         "stream" => Ok(AccessPattern::Stream),
         "strided" => Ok(AccessPattern::Strided {
@@ -322,7 +300,7 @@ fn pattern_from_json(j: &Json) -> Result<AccessPattern, SpecError> {
     }
 }
 
-fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SpecError> {
+fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SchemaError> {
     let read_fraction = f64_field(j, "read_fraction")?;
     if !(0.0..=1.0).contains(&read_fraction) {
         return Err(schema(format!(
@@ -350,7 +328,7 @@ fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SpecError> {
     })
 }
 
-fn scheduler_from_json(j: &Json) -> Result<Scheduler, SpecError> {
+fn scheduler_from_json(j: &Json) -> Result<Scheduler, SchemaError> {
     match str_field(j, "kind")?.as_str() {
         "fcfs" => Ok(Scheduler::Fcfs),
         // A zero window would leave every request unissuable (issue time
@@ -365,7 +343,7 @@ fn scheduler_from_json(j: &Json) -> Result<Scheduler, SpecError> {
     }
 }
 
-fn process_from_json(j: &Json) -> Result<ArrivalProcess, SpecError> {
+fn process_from_json(j: &Json) -> Result<ArrivalProcess, SchemaError> {
     // The validating constructors (not raw variants) keep the crate's
     // documented invariants — positive finite rates, positive burst
     // windows — out of reach of malformed files.
@@ -381,7 +359,7 @@ fn process_from_json(j: &Json) -> Result<ArrivalProcess, SpecError> {
     }
 }
 
-fn payload_from_json(j: &Json) -> Result<PayloadSpec, SpecError> {
+fn payload_from_json(j: &Json) -> Result<PayloadSpec, SchemaError> {
     match str_field(j, "kind")?.as_str() {
         "zero" => Ok(PayloadSpec::Zero),
         "uniform" => Ok(PayloadSpec::Uniform),
@@ -404,7 +382,7 @@ fn payload_from_json(j: &Json) -> Result<PayloadSpec, SpecError> {
     }
 }
 
-fn tenant_from_json(j: &Json) -> Result<TenantSpec, SpecError> {
+fn tenant_from_json(j: &Json) -> Result<TenantSpec, SchemaError> {
     let load_json = field(j, "load")?;
     let load = match str_field(load_json, "kind")?.as_str() {
         "open" => TenantLoad::Open(process_from_json(field(load_json, "process")?)?),
@@ -439,7 +417,7 @@ fn tenant_from_json(j: &Json) -> Result<TenantSpec, SpecError> {
     })
 }
 
-fn serve_from_json(j: &Json) -> Result<ServeSpec, SpecError> {
+fn serve_from_json(j: &Json) -> Result<ServeSpec, SchemaError> {
     let batch = match field(j, "batch")? {
         Json::Null => None,
         b => {
@@ -470,7 +448,7 @@ fn serve_from_json(j: &Json) -> Result<ServeSpec, SpecError> {
     })
 }
 
-fn engine_from_json(j: &Json) -> Result<EnginePoint, SpecError> {
+fn engine_from_json(j: &Json) -> Result<EnginePoint, SchemaError> {
     let label = str_field(j, "label")?;
     if let Some(serve) = j.get("serve") {
         return Ok(EnginePoint::serve(label, serve_from_json(serve)?));
@@ -541,7 +519,7 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
         .map(engine_from_json)
         .collect::<Result<Vec<_>, _>>()?;
     if devices.is_empty() || workloads.is_empty() || engines.is_empty() {
-        return Err(schema("devices, workloads and engines must be non-empty"));
+        return Err(schema("devices, workloads and engines must be non-empty").into());
     }
     Ok(CampaignSpec {
         name: str_field(&doc, "campaign")?,

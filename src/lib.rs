@@ -11,8 +11,8 @@
 //! 4. [`comet`] / [`cosmos`] — the paper's architecture and its baseline;
 //! 5. [`memsim`] — trace-driven main-memory simulator (NVMain stand-in);
 //! 6. [`dota`] — photonic-accelerator case study;
-//! 7. `comet-bench` — figure/table regeneration binaries and criterion
-//!    benches (not re-exported; it is a binary-oriented leaf crate).
+//! 7. `comet-bench` — figure/table regeneration binaries (not
+//!    re-exported; it is a binary-oriented leaf crate).
 //!
 //! See the repository `README.md` for the layer diagram and the
 //! paper-artifact map.
