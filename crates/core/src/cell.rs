@@ -9,7 +9,6 @@
 use comet_units::{Decibels, Transmittance};
 use opcm_phys::ProgramTable;
 use photonic::{CellOpticalModel, PaperCellModel};
-use serde::{Deserialize, Serialize};
 
 /// Maps level indices to read-out transmittances and back.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let drifted = codec.apply_loss(t, Decibels::new(0.1));
 /// assert_eq!(codec.decode(drifted), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelCodec {
     bits: u8,
     /// Transmittance per level, index 0 = most transmissive.
@@ -206,7 +205,7 @@ pub fn decode_levels(levels: &[u8], bits: u8) -> Vec<u8> {
 /// regardless of what is programmed into it (endurance failures leave GST
 /// cells pinned near one phase), which is what a controller's write-verify
 /// pass exists to catch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subarray {
     rows: u64,
     cols: u64,

@@ -19,10 +19,9 @@
 //! quantifies the imbalance reduction on hot-spot traffic.
 
 use comet_units::Time;
-use serde::{Deserialize, Serialize};
 
 /// Cycle budget of one OPCM cell (order-of-magnitude parameter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnduranceModel {
     /// Crystallize/amorphize cycles a cell sustains before its contrast
     /// window degrades past the level budget.
@@ -64,7 +63,7 @@ impl EnduranceModel {
 /// assert_eq!(wear.max_wear(), 71);
 /// assert!(wear.imbalance() > 5.0); // badly skewed
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WearTracker {
     counts: Vec<u64>,
     total: u64,
@@ -152,7 +151,7 @@ impl WearTracker {
 /// }
 /// assert!(seen.len() > 4, "hot row spread over {} physical rows", seen.len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StartGapRemapper {
     rows: u64,
     gap_period: u64,

@@ -31,10 +31,9 @@
 //! against the energy saved.
 
 use comet_units::{Energy, Power, Time};
-use serde::{Deserialize, Serialize};
 
 /// Laser management policy for [`CometDevice`](crate::CometDevice).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LaserPolicy {
     /// The paper's baseline: the full power stack burns for the whole run.
     #[default]
@@ -44,7 +43,7 @@ pub enum LaserPolicy {
 }
 
 /// Parameters of the windowed laser manager.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowedPolicy {
     /// Management window length.
     pub window: Time,
@@ -98,7 +97,7 @@ impl WindowedPolicy {
 /// let full = Power::from_watts(21.0) * Time::from_micros(10.0);
 /// assert!(energy.as_joules() < 0.5 * full.as_joules());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaserPowerManager {
     policy: WindowedPolicy,
     /// Power that the manager may gate (laser + active SOAs).

@@ -14,7 +14,6 @@
 
 use comet_units::Decibels;
 use photonic::{CellOpticalModel, LevelBudget, OpticalParams};
-use serde::{Deserialize, Serialize};
 
 /// The paper's read-out loss tolerance for `bits` per cell: a signal may
 /// lose a fraction `2^-b` of full scale before adjacent levels merge —
@@ -39,7 +38,7 @@ pub fn paper_loss_tolerance(bits: u8) -> Decibels {
 /// // Row 10 of a 46-row SOA period needs 10 rows of through-loss back:
 /// assert!((lut.gain_for_row(10).value() - 3.3).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GainLut {
     bits: u8,
     subarray_rows: u64,

@@ -17,11 +17,10 @@
 use crate::arch::CometConfig;
 use comet_units::{Decibels, Length, Power};
 use photonic::{CellOpticalModel, Laser, ModePenalty, OpticalPath, PathElement};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A decomposed power figure (one bar of the Fig. 7/8 stacks).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerStack {
     /// Off-chip laser wall-plug power.
     pub laser: Power,
@@ -65,7 +64,7 @@ impl fmt::Display for PowerStack {
 }
 
 /// Power model of a COMET configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CometPowerModel {
     /// The architecture being modeled.
     pub config: CometConfig,

@@ -24,7 +24,6 @@ use crate::arch::CometConfig;
 use crate::lut::GainLut;
 use comet_units::{Power, Time};
 use photonic::Photodetector;
-use serde::{Deserialize, Serialize};
 
 /// Per-row readout error analysis for a COMET configuration.
 ///
@@ -39,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// // And deeper rows are never *better* than the LUT-trimmed best row:
 /// assert!(rel.row_error(45) >= rel.row_error(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadoutReliability {
     config: CometConfig,
     lut: GainLut,
@@ -105,7 +104,7 @@ impl ReadoutReliability {
 /// than an order of magnitude versus EPCM resistance readout (the `ν≈0.1`
 /// resistance exponent has no optical counterpart) — the default `δ` of
 /// 0.4 %/decade reflects that.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftModel {
     /// Transmittance shift per decade of time, at fully amorphous.
     pub delta_per_decade: f64,

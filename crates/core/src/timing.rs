@@ -12,10 +12,9 @@
 
 use comet_units::{Frequency, Time};
 use opcm_phys::ProgramTable;
-use serde::{Deserialize, Serialize};
 
 /// Architectural timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CometTiming {
     /// Data-bus width, bits.
     pub bus_bits: u32,

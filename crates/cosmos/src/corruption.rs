@@ -9,11 +9,10 @@
 
 use crate::arch::CosmosConfig;
 use crate::crossbar::Crossbar;
-use serde::{Deserialize, Serialize};
 
 /// A grayscale test image stored one pixel per cell (pixel values are
 /// quantized to the cell's level count).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestImage {
     /// Width in pixels.
     pub width: u64,
@@ -54,7 +53,7 @@ impl TestImage {
 }
 
 /// Result of one corruption experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorruptionReport {
     /// Configuration name.
     pub config: String,

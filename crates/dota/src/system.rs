@@ -12,10 +12,9 @@
 use crate::workload::TransformerWorkload;
 use comet_units::EnergyPerBit;
 use memsim::{run_simulation, MemoryDevice, SimConfig};
-use serde::{Deserialize, Serialize};
 
 /// How a memory's read-out reaches the photonic tensor core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeedKind {
     /// Electronic memory: every bit pays DAC + driver + modulator energy.
     Electronic,
@@ -41,7 +40,7 @@ impl FeedKind {
 }
 
 /// One Fig. 10 bar: a (memory, model) pairing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemEpbReport {
     /// Memory system name.
     pub memory: String,

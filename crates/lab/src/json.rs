@@ -1,9 +1,8 @@
 //! A minimal, deterministic JSON emitter and parser.
 //!
-//! The workspace builds offline against a `serde` shim whose derives expand
-//! to nothing (see `shims/README.md`), so this module is what actually
-//! moves campaign reports on and off disk. Two properties matter more than
-//! generality:
+//! This module is the workspace's only serialization path: it moves
+//! campaign reports and spec files on and off disk. Two properties matter
+//! more than generality:
 //!
 //! * **Determinism** — objects keep insertion order and floats print via
 //!   Rust's shortest-round-trip formatting, so semantically equal reports

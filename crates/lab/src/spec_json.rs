@@ -280,12 +280,18 @@ fn non_negative_f64(obj: &Json, key: &str) -> Result<f64, SchemaError> {
     }
 }
 
-fn pattern_from_json(j: &Json) -> Result<AccessPattern, SchemaError> {
+fn pattern_from_json(j: &Json, line_bytes: u64) -> Result<AccessPattern, SchemaError> {
     match str_field(j, "kind")?.as_str() {
         "stream" => Ok(AccessPattern::Stream),
-        "strided" => Ok(AccessPattern::Strided {
-            stride: u64_field(j, "stride")?,
-        }),
+        "strided" => {
+            let stride = u64_field(j, "stride")?;
+            if stride == 0 || stride % line_bytes != 0 {
+                return Err(schema(format!(
+                    "'stride' ({stride}) must be a positive multiple of 'line_bytes' ({line_bytes})"
+                )));
+            }
+            Ok(AccessPattern::Strided { stride })
+        }
         "random" => Ok(AccessPattern::Random),
         "clustered" => {
             let locality = f64_field(j, "locality")?;
@@ -321,7 +327,7 @@ fn profile_from_json(j: &Json) -> Result<WorkloadProfile, SchemaError> {
         name: str_field(j, "name")?,
         read_fraction,
         footprint: ByteCount::new(footprint),
-        pattern: pattern_from_json(field(j, "pattern")?)?,
+        pattern: pattern_from_json(field(j, "pattern")?, line_bytes)?,
         interarrival: Time::from_seconds(non_negative_f64(j, "interarrival_s")?),
         requests: u64_field(j, "requests")? as usize,
         line_bytes,
@@ -614,6 +620,16 @@ mod tests {
             (
                 "\"kind\": \"random\"",
                 "\"kind\": \"clustered\", \"locality\": -0.1",
+            ),
+            // A stride that is zero or not a whole number of lines would
+            // walk fewer lines than it claims.
+            (
+                "\"kind\": \"random\"",
+                "\"kind\": \"strided\", \"stride\": 0",
+            ),
+            (
+                "\"kind\": \"random\"",
+                "\"kind\": \"strided\", \"stride\": 96",
             ),
             // Payload knobs: a zero or >1 flip fraction is meaningless.
             ("\"flip_fraction\": 0.05", "\"flip_fraction\": 0.0"),

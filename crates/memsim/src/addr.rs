@@ -6,11 +6,10 @@
 //! what COMET does across its MDM banks) spreads consecutive lines over all
 //! parallel resources.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Decoded device coordinates of an address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodedAddress {
     /// Channel index.
     pub channel: u64,
@@ -23,16 +22,13 @@ pub struct DecodedAddress {
 }
 
 /// Bit-interleaving order for address decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Interleave {
     /// `row : bank : column : channel` (line-interleaved across channels,
     /// then columns within a bank row — maximizes channel/bank parallelism
     /// for streams). The usual high-throughput choice.
     #[default]
     RowBankColumnChannel,
-    /// `row : column : bank : channel` (consecutive lines hit different
-    /// banks first — maximizes bank-level parallelism for strided access).
-    RowColumnBankChannel,
     /// Like [`Interleave::RowBankColumnChannel`] but the channel index is
     /// XOR-folded with the base-C digits of the line quotient, so strided
     /// streams whose stride is a multiple of the channel count still
@@ -93,7 +89,7 @@ impl std::error::Error for AddressMapError {}
 /// assert_eq!(map.encode(d), 0x40); // bijective
 /// # Ok::<(), memsim::AddressMapError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
     channels: u64,
     banks: u64,
@@ -191,20 +187,6 @@ impl AddressMap {
                     column,
                 }
             }
-            Interleave::RowColumnBankChannel => {
-                let channel = line % self.channels;
-                let rest = line / self.channels;
-                let bank = rest % self.banks;
-                let rest = rest / self.banks;
-                let column = rest % self.columns;
-                let row = rest / self.columns;
-                DecodedAddress {
-                    channel,
-                    bank,
-                    row,
-                    column,
-                }
-            }
             Interleave::RowBankColumnChannelXor => {
                 let r = line % self.channels;
                 let q = line / self.channels;
@@ -240,10 +222,6 @@ impl AddressMap {
         let line = match self.interleave {
             Interleave::RowBankColumnChannel => {
                 ((d.row * self.banks + d.bank) * self.columns + d.column) * self.channels
-                    + d.channel
-            }
-            Interleave::RowColumnBankChannel => {
-                ((d.row * self.columns + d.column) * self.banks + d.bank) * self.channels
                     + d.channel
             }
             Interleave::RowBankColumnChannelXor => {
@@ -305,7 +283,6 @@ mod tests {
     fn roundtrip_both_interleaves() {
         for il in [
             Interleave::RowBankColumnChannel,
-            Interleave::RowColumnBankChannel,
             Interleave::RowBankColumnChannelXor,
         ] {
             let m = AddressMap::new(4, 8, 64, 16, 64, il).unwrap();
@@ -358,14 +335,6 @@ mod tests {
             let d = m.decode(k);
             assert_eq!(d.channel, 0);
             assert_eq!(m.encode(m.decode(k & !63)), k & !63);
-        }
-    }
-
-    #[test]
-    fn bank_first_interleave_spreads_banks() {
-        let m = AddressMap::new(1, 8, 64, 16, 64, Interleave::RowColumnBankChannel).unwrap();
-        for i in 0..8u64 {
-            assert_eq!(m.decode(i * 64).bank, i % 8);
         }
     }
 }

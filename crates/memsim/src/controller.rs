@@ -12,11 +12,10 @@ use crate::data::LineData;
 use crate::device::{AccessTiming, MemoryDevice};
 use crate::request::MemOp;
 use comet_units::Time;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Request scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// First-come first-served per bank.
     Fcfs,

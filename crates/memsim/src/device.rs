@@ -12,10 +12,9 @@ use crate::addr::DecodedAddress;
 use crate::data::LineData;
 use crate::request::MemOp;
 use comet_units::{ByteCount, Energy, Power, Time};
-use serde::{Deserialize, Serialize};
 
 /// Static shape of a memory device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// Independent channels (each with its own data bus).
     pub channels: u64,
@@ -42,7 +41,7 @@ impl Topology {
 }
 
 /// Timing and energy of one serviced access, as decided by the device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessTiming {
     /// When the bank becomes free for its next access.
     pub bank_free_at: Time,
@@ -172,12 +171,12 @@ pub trait DeviceFactory: Send + Sync {
 /// ```
 /// use memsim::{DeviceFactory, DramConfig, DramDevice, FnFactory};
 ///
-/// let f = FnFactory::new("DDR3-closed-page", || {
+/// let f = FnFactory::new("DDR3-x16", || {
 ///     let mut cfg = DramConfig::ddr3_1600_2d();
-///     cfg.row_policy = memsim::RowPolicy::Closed;
+///     cfg.timings.bus_bits = 16;
 ///     Box::new(DramDevice::new(cfg))
 /// });
-/// assert_eq!(f.device_name(), "DDR3-closed-page");
+/// assert_eq!(f.device_name(), "DDR3-x16");
 /// let _dev = f.build();
 /// ```
 pub struct FnFactory {

@@ -10,10 +10,9 @@ use crate::device::MemoryDevice;
 use crate::request::{CompletedRequest, MemRequest};
 use crate::stats::{LatencyHistogram, SimStats};
 use comet_units::Time;
-use serde::{Deserialize, Serialize};
 
 /// How arrival timestamps are honoured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayMode {
     /// Respect trace arrival times (requests queue if the device is slow).
     #[default]
@@ -24,7 +23,7 @@ pub enum ReplayMode {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Scheduling policy.
     pub scheduler: Scheduler,

@@ -48,7 +48,7 @@ pub use addr::{AddressMap, AddressMapError, DecodedAddress, Interleave};
 pub use controller::{Controller, IssueSlot, Issued, Pending, Scheduler};
 pub use data::{LineData, PricedWrite, WriteCost, WritePricer, MAX_LINE_BYTES};
 pub use device::{AccessTiming, DeviceFactory, FnFactory, MemoryDevice, Topology};
-pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings, RowPolicy};
+pub use dram::{DramConfig, DramDevice, DramEnergy, DramTimings};
 pub use engine::{run_simulation, ReplayMode, SimConfig};
 pub use pcm::{EpcmConfig, EpcmDevice};
 pub use request::{CompletedRequest, MemOp, MemRequest};

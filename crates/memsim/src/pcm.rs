@@ -18,12 +18,11 @@ use crate::data::{LineData, WritePricer};
 use crate::device::{AccessTiming, DeviceFactory, MemoryDevice, Topology};
 use crate::request::MemOp;
 use comet_units::{Energy, Power, Time};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// EPCM configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpcmConfig {
     /// Report name.
     pub name: String,

@@ -2,11 +2,10 @@
 
 use crate::request::CompletedRequest;
 use comet_units::{BitCount, ByteCount, DataRate, Energy, EnergyPerBit, Power, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Energy breakdown of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Per-access energy (activation, array, I/O, laser pulses).
     pub access: Energy,
@@ -156,7 +155,7 @@ impl Default for LatencyHistogram {
 }
 
 /// Aggregate results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Device name.
     pub device: String,

@@ -11,16 +11,16 @@ use crate::request::{MemOp, MemRequest};
 use comet_units::{ByteCount, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Spatial access pattern of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Sequential streaming through the footprint.
     Stream,
     /// Fixed-stride walks (e.g. column sweeps).
     Strided {
-        /// Stride in bytes.
+        /// Stride in bytes. The walk steps `stride / line_bytes` lines, and
+        /// at least one.
         stride: u64,
     },
     /// Uniform random lines over the footprint.
@@ -34,7 +34,7 @@ pub enum AccessPattern {
 }
 
 /// A synthetic workload description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Name used in reports (SPEC-like identifier).
     pub name: String,
@@ -142,7 +142,8 @@ impl StreamShape {
                 self.cursor
             }
             AccessPattern::Strided { stride } => {
-                self.cursor = (self.cursor + stride / self.line_bytes) % self.lines;
+                let step = (stride / self.line_bytes).max(1);
+                self.cursor = (self.cursor + step) % self.lines;
                 self.cursor
             }
             AccessPattern::Random => self.rng.gen_range(0..self.lines),
@@ -369,6 +370,25 @@ mod tests {
             }
         }
         assert!(sequential as f64 / reqs.len() as f64 > 0.95);
+    }
+
+    #[test]
+    fn strided_walk_steps_at_least_one_line() {
+        // A stride below one line (a 64 B stride on 128 B lines, which line
+        // normalization produces for a 64 B-line profile on COMET) or of
+        // zero must still walk the footprint, not repeat one line.
+        for (stride, line_bytes) in [(64, 128), (0, 64)] {
+            let mut p = profile(AccessPattern::Strided { stride });
+            p.line_bytes = line_bytes;
+            let mut shape = StreamShape::from_profile(&p, 3);
+            let distinct: std::collections::HashSet<u64> =
+                (0..100).map(|_| shape.next_access().1).collect();
+            assert_eq!(
+                distinct.len(),
+                100,
+                "stride {stride} on {line_bytes} B lines"
+            );
+        }
     }
 
     #[test]

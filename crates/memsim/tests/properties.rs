@@ -16,7 +16,6 @@ use proptest::prelude::*;
 fn any_interleave() -> impl Strategy<Value = Interleave> {
     prop_oneof![
         Just(Interleave::RowBankColumnChannel),
-        Just(Interleave::RowColumnBankChannel),
         Just(Interleave::RowBankColumnChannelXor),
     ]
 }

@@ -47,7 +47,6 @@
 use crate::readout::LevelBudget;
 use comet_units::{Decibels, Length, Transmittance};
 use opcm_phys::{reference_wavelength, CellOpticalModel as PhysCellOptics, ProgramTable};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -126,7 +125,7 @@ impl fmt::Debug for dyn CellOpticalModel + Send + Sync {
 /// crystalline fraction. This is the provider evaluation binaries default
 /// to, so published-figure reproductions stay pinned to the paper even as
 /// the physics layer is recalibrated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperCellModel {
     /// Top (most transmissive) level transmittance.
     pub top: f64,
@@ -182,7 +181,7 @@ impl CellOpticalModel for PaperCellModel {
 /// asymptotically slow to program and suffer the worst read-out loss), and
 /// the fraction span is found by inverting `T(p)` — so the circuit layer's
 /// level grid is exactly the grid [`opcm_phys::ProgramTable`] programs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DerivedCellModel {
     /// The device-physics transmission model.
     pub cell: PhysCellOptics,
@@ -244,7 +243,7 @@ impl CellOpticalModel for DerivedCellModel {
 /// published-figure reproductions); `Derived` resolves the same contract
 /// from the device-physics layer. Sweeping both in one grid is how the
 /// divergence between transcription and physics is measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CellModelMode {
     /// Transcribed paper constants ([`PaperCellModel::paper_constants`]).
     #[default]

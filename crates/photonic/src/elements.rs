@@ -6,7 +6,6 @@
 
 use crate::params::OpticalParams;
 use comet_units::{Decibels, Length, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a microring resonator is moved in/out of resonance.
@@ -15,7 +14,7 @@ use std::fmt;
 /// nearly lossless but takes microseconds per access; electro-optic (EO)
 /// carrier-injection tuning switches in ~2 ns at the cost of extra loss.
 /// COMET chooses EO tuning and pays the loss with SOAs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MrTuning {
     /// Thermo-optic (heater) tuning: µs-scale, low loss.
     Thermal,
@@ -64,7 +63,7 @@ impl fmt::Display for MrTuning {
 ///
 /// Losses are positive [`Decibels`]; the SOA is the only gain element and
 /// contributes a negative net figure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PathElement {
     /// Laser/fiber to chip coupler.
     Coupler,

@@ -10,7 +10,6 @@
 use crate::params::OpticalParams;
 use crate::path::OpticalPath;
 use comet_units::{Decibels, Power};
-use serde::{Deserialize, Serialize};
 
 /// An off-chip multi-wavelength laser source.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// );
 /// assert!((elec.as_milliwatts() - 50.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Laser {
     /// Wall-plug efficiency in `(0, 1]`.
     pub wall_plug_efficiency: f64,

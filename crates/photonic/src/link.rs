@@ -8,14 +8,13 @@
 //! 4 modes without notable loss).
 
 use comet_units::{DataRate, Decibels, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// Per-mode extra loss for MDM links.
 ///
 /// Mode 0 (fundamental) is free; each higher mode adds progressively more
 /// leakage loss. Quadratic growth models the rapidly decreasing confinement
 /// of higher-order modes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModePenalty {
     /// Loss added for mode 1 (dB); higher modes scale quadratically.
     pub base: Decibels,
@@ -66,7 +65,7 @@ impl Default for ModePenalty {
 /// // 1024 bit-channels at 1 Gb/s = 128 GB/s raw.
 /// assert!((link.raw_bandwidth().as_gigabytes_per_second() - 128.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WdmMdmLink {
     /// Number of WDM wavelengths.
     pub wavelengths: usize,

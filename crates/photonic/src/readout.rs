@@ -9,7 +9,6 @@
 //! the SOA gain-tuning LUT granularity in the COMET controller.
 
 use comet_units::{Decibels, Power};
-use serde::{Deserialize, Serialize};
 
 /// Loss tolerance of a `b`-bit multi-level read-out.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let b4 = LevelBudget::for_bits(4);
 /// assert!(b4.loss_tolerance.value() < b2.loss_tolerance.value());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelBudget {
     /// Bits per cell.
     pub bits: u8,
@@ -76,7 +75,7 @@ impl LevelBudget {
 /// probability that one multi-level read lands in the wrong level bin.
 /// Gaussian noise with shot + thermal contributions; the level decision is
 /// a nearest-neighbour slicer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Photodetector {
     /// Responsivity, A/W.
     pub responsivity: f64,

@@ -20,7 +20,6 @@ use crate::materials::{PcmMaterial, Silicon};
 use crate::mixing::effective_index;
 use crate::waveguide::CellGeometry;
 use comet_units::{Decibels, Length, Transmittance};
-use serde::{Deserialize, Serialize};
 
 /// Optical model of one PCM memory cell.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// let contrast = cell.transmission_contrast(lambda);
 /// assert!(contrast > 0.90, "GST cell should show ~95% contrast, got {contrast}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellOpticalModel {
     /// The phase-change material in the cell.
     pub material: PcmMaterial,
@@ -44,7 +43,7 @@ pub struct CellOpticalModel {
 }
 
 /// One point of the Fig. 4 geometry sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeometryContrast {
     /// PCM patch width.
     pub width: Length,

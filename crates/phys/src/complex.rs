@@ -5,7 +5,6 @@
 //! principal square root, so a small local implementation is clearer than a
 //! dependency.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -21,7 +20,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// let r = z.sqrt();
 /// assert!(((r * r) - z).norm() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -10,12 +10,11 @@
 
 use crate::lorentz::{ComplexIndex, LorentzModel};
 use comet_units::{Length, Temperature};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two stable phases of a PCM (intermediate states are mixtures —
 /// see [`effective_index`](crate::effective_index)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Disordered, low-index, low-loss phase (binary "0" by convention).
     Amorphous,
@@ -33,7 +32,7 @@ impl fmt::Display for Phase {
 }
 
 /// The PCM candidates evaluated by the paper (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcmKind {
     /// Ge₂Sb₂Te₅ — highest index/extinction contrast; selected for COMET.
     Gst,
@@ -68,7 +67,7 @@ impl fmt::Display for PcmKind {
 }
 
 /// Thermal constants governing phase transitions and heat flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalProperties {
     /// Melting temperature `T_l`; exceeding it erases crystalline order
     /// (melt-quench → amorphous).
@@ -113,7 +112,7 @@ impl ThermalProperties {
 /// let a = gst.refractive_index(Phase::Amorphous, Length::from_nanometers(1550.0));
 /// assert!(c.n - a.n > 2.0); // GST's famous index contrast
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcmMaterial {
     /// Which candidate this is.
     pub kind: PcmKind,
@@ -224,7 +223,7 @@ impl PcmMaterial {
 }
 
 /// Optical/thermal constants of the silicon waveguide core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Silicon;
 
 impl Silicon {
@@ -244,7 +243,7 @@ impl Silicon {
 }
 
 /// Optical/thermal constants of the buried-oxide (SiO₂) cladding.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiliconDioxide;
 
 impl SiliconDioxide {

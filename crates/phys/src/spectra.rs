@@ -9,7 +9,6 @@ use crate::cell_optics::CellOpticalModel;
 use crate::lorentz::ComplexIndex;
 use crate::materials::{PcmKind, Phase};
 use comet_units::Length;
-use serde::{Deserialize, Serialize};
 
 /// Start of the optical C-band.
 pub fn c_band_start() -> Length {
@@ -47,7 +46,7 @@ pub fn c_band_wavelengths(count: usize) -> Vec<Length> {
 }
 
 /// One sample of the Fig. 3 material-spectra sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaterialSpectrumPoint {
     /// Material.
     pub kind: PcmKind,
@@ -80,7 +79,7 @@ pub fn material_spectra(samples: usize) -> Vec<MaterialSpectrumPoint> {
 }
 
 /// One sample of the cell wavelength-dependence sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSpectrumPoint {
     /// Wavelength.
     pub wavelength: Length,

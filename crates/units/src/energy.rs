@@ -1,7 +1,6 @@
 //! Energy, stored internally in joules.
 
 use crate::{BitCount, EnergyPerBit, Power, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -17,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// let avg_power = reset / Time::from_nanos(210.0);
 /// assert!((avg_power.as_milliwatts() - 4.19).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {

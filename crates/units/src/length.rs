@@ -1,6 +1,5 @@
 //! Lengths, stored internally in metres.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// let loss_db = per_mm_loss * cell.as_millimeters();
 /// assert!((loss_db - 0.000146).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Length(f64);
 
 impl Length {

@@ -2,7 +2,6 @@
 //! linear [`Transmittance`].
 
 use crate::Power;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(total.value(), 1.5);
 /// assert!((Decibels::from_linear(0.5).value() - 3.0103).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Decibels(f64);
 
 impl Decibels {
@@ -157,7 +156,7 @@ impl fmt::Display for Decibels {
 /// let q = Power::from_milliwatts(100.0).to_dbm();
 /// assert!((q.value() - 20.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct DecibelMilliwatts(f64);
 
 impl DecibelMilliwatts {
@@ -206,7 +205,7 @@ impl fmt::Display for DecibelMilliwatts {
 /// let t = Transmittance::new(0.90);
 /// assert!((t.cascade(Transmittance::new(0.5)).value() - 0.45).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Transmittance(f64);
 
 impl Transmittance {

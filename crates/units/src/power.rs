@@ -1,7 +1,6 @@
 //! Absolute power, stored internally in watts.
 
 use crate::{DecibelMilliwatts, Decibels, Energy, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -17,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// let pulse_energy = laser * Time::from_nanos(100.0);
 /// assert!((pulse_energy.as_picojoules() - 500.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {

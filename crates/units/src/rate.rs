@@ -2,7 +2,6 @@
 //! energy-per-bit.
 
 use crate::{Energy, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -17,9 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// let line = ByteCount::new(64);
 /// assert_eq!(line.to_bits(), BitCount::new(512));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BitCount(u64);
 
 impl BitCount {
@@ -87,9 +84,7 @@ impl fmt::Display for BitCount {
 }
 
 /// A count of bytes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteCount(u64);
 
 impl ByteCount {
@@ -195,7 +190,7 @@ impl fmt::Display for ByteCount {
 /// let rate = DataRate::from_transfer(ByteCount::from_mib(64), Time::from_millis(1.0));
 /// assert!(rate.as_gigabytes_per_second() > 60.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct DataRate(f64);
 
 impl DataRate {
@@ -277,7 +272,7 @@ impl fmt::Display for DataRate {
 /// let epb = Energy::from_picojoules(512.0) / BitCount::new(128);
 /// assert!((epb.as_picojoules_per_bit() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct EnergyPerBit(f64);
 
 impl EnergyPerBit {

@@ -1,6 +1,5 @@
 //! Durations, stored internally in seconds.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let erase = Time::from_nanos(210.0);
 /// assert!((write + erase).as_nanos() == 380.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Time(f64);
 
 impl Time {
